@@ -45,7 +45,6 @@ from .hypergraph import (
 )
 from .instance_io import (
     FIXTURE_NAMES,
-    InstanceDocument,
     fixture,
     parse_instance,
     serialize_instance,
@@ -82,7 +81,6 @@ __all__ = [
     "HallReport",
     "HallVerdict",
     "INCONCLUSIVE",
-    "InstanceDocument",
     "IsolatedVertexError",
     "KPartiteHypergraph",
     "KphallError",

@@ -43,16 +43,12 @@ from .hypergraph import (
     SubmaximalEdge,
     neighborhood,
     neighborhood_of_set,
-    prefix_subhypergraph,
 )
 from .instance_io import serialize_instance
 from .matching import (
     MATCHING_EXISTS,
     NO_MATCHING,
     SdrInstance,
-    enumerate_perfect_matchings,
-    extend_matching,
-    hall_deficiency,
     hall_subset_oracle,
     max_bipartite_matching,
     prefix_hall_verdict,
@@ -73,23 +69,24 @@ MODES = ("unique-planted", "random")
 _CheckFn = Callable[[KPartiteHypergraph], str | None]
 
 
-def _unique_prefix_matching(h: KPartiteHypergraph):
-    found = enumerate_perfect_matchings(prefix_subhypergraph(h), limit=2)
-    if len(found) != 1:
-        return None, f"expected a unique prefix perfect matching, found {len(found)}"
-    return found[0], None
+def _unique_verdict(h: KPartiteHypergraph):
+    verdict = prefix_hall_verdict(h)
+    if verdict.pm_count != 1:
+        return None, (
+            f"expected a unique prefix perfect matching, found {verdict.pm_count}"
+        )
+    return verdict, None
 
 
 def _check_unique_hall(h: KPartiteHypergraph) -> str | None:
-    m, err = _unique_prefix_matching(h)
+    verdict, err = _unique_verdict(h)
     if err:
         return err
-    d = hall_deficiency(h, m).deficiency
+    d = verdict.chosen.hall.deficiency
     a, _ = alpha_prime(h, force=True)
     t = h.t
     if (d == 0) != (a >= t):
         return f"deficiency={d} but alpha'={a} with t={t}"
-    verdict = prefix_hall_verdict(h)
     if verdict.conclusion == MATCHING_EXISTS and a != t:
         return f"verdict claims a matching of size {t} but alpha'={a}"
     if verdict.conclusion == NO_MATCHING and a >= t:
@@ -98,15 +95,16 @@ def _check_unique_hall(h: KPartiteHypergraph) -> str | None:
 
 
 def _check_defect_extension(h: KPartiteHypergraph) -> str | None:
-    m, err = _unique_prefix_matching(h)
+    verdict, err = _unique_verdict(h)
     if err:
         return err
-    d = hall_deficiency(h, m).deficiency
-    ext = extend_matching(h, m)
+    chosen = verdict.chosen
+    d = chosen.hall.deficiency
+    ext = chosen.extension
     if len(ext) != h.t - d:
         return f"extension has {len(ext)} edges, expected {h.t}-{d}"
     seen = set()
-    prefix_traces = set(m.edges)
+    prefix_traces = set(chosen.prefix_matching.edges)
     for e in ext.edges:
         if not h.has_edge(e):
             return f"extension edge {[v.label for v in e]} is not an edge of H"
@@ -120,11 +118,12 @@ def _check_defect_extension(h: KPartiteHypergraph) -> str | None:
 
 
 def _check_defect_equivalence(h: KPartiteHypergraph) -> str | None:
-    m, err = _unique_prefix_matching(h)
+    verdict, err = _unique_verdict(h)
     if err:
         return err
-    fast = hall_deficiency(h, m)
-    slow = hall_subset_oracle(h, m)
+    chosen = verdict.chosen
+    fast = chosen.hall
+    slow = hall_subset_oracle(h, chosen.prefix_matching)
     if (fast.deficiency, fast.max_sdr) != (slow.deficiency, slow.max_sdr):
         return (
             f"matching route gives d={fast.deficiency}/sdr={fast.max_sdr}, "

@@ -27,7 +27,7 @@ from .exact import DualityReport
 from .generate import GeneratorParams, gen_planted_unique, gen_random
 from .hypergraph import KPartiteHypergraph, rotate_parts
 from .instance_io import parse_instance, serialize_instance
-from .matching import HallVerdict, extend_matching, prefix_hall_verdict
+from .matching import HallVerdict, prefix_hall_verdict
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -231,8 +231,8 @@ def _cmd_extend(args: argparse.Namespace) -> int:
     if not verdict.applicable:
         print(f"not applicable: {verdict.reason}", file=sys.stderr)
         return EXIT_NOT_APPLICABLE
-    chosen = verdict.per_matching[0]
-    extension = extend_matching(h, chosen.prefix_matching)
+    chosen = verdict.chosen
+    extension = chosen.extension
     if args.json:
         _print_json(
             {

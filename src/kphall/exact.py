@@ -108,8 +108,11 @@ def beta(
     seeds the incumbent; the maximum-matching size is a lower bound that
     stops the search as soon as it is met.
     """
-    _guard(h, force)
     lower, _ = alpha_prime(h, force=force)
+    return _min_cover(h, lower)
+
+
+def _min_cover(h: KPartiteHypergraph, lower: int) -> tuple[int, tuple[Vertex, ...]]:
     edges = h.edges
     best: list[Vertex] = sorted(h.parts[0])
     done = False
@@ -144,7 +147,7 @@ def beta(
 def duality_report(h: KPartiteHypergraph, *, force: bool = False) -> DualityReport:
     """Assemble maximum matching, minimum cover, and the size-t equality flags."""
     a, matching_witness = alpha_prime(h, force=force)
-    b, cover_witness = beta(h, force=force)
+    b, cover_witness = _min_cover(h, a)
     t = h.t
     return DualityReport(
         alpha_prime=a,

@@ -13,7 +13,6 @@ Instances are immutable; every operation here is a pure function.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -105,6 +104,15 @@ class KPartiteHypergraph:
     def has_edge(self, edge: Iterable[Vertex]) -> bool:
         return tuple(sorted(edge)) in self._edge_set
 
+    @cached_property
+    def _completions(self) -> dict[tuple[Vertex, ...], tuple[Vertex, ...]]:
+        """Each (k-1)-subtuple of an edge -> the sorted vertices completing it."""
+        found: dict[tuple[Vertex, ...], list[Vertex]] = {}
+        for e in self.edges:
+            for i, v in enumerate(e):
+                found.setdefault(e[:i] + e[i + 1 :], []).append(v)
+        return {key: tuple(sorted(vs)) for key, vs in found.items()}
+
     def prefix_parts(self) -> tuple[tuple[Vertex, ...], ...]:
         """All parts except the last."""
         return self.parts[:-1]
@@ -124,10 +132,6 @@ class SubmaximalEdge:
         parts = [v.part for v in self.vertices]
         if len(set(parts)) != len(parts):
             raise SamePartError(f"two vertices share a part in {self}")
-
-    @property
-    def covered_parts(self) -> tuple[int, ...]:
-        return tuple(v.part for v in self.vertices)
 
     def __iter__(self):
         return iter(self.vertices)
@@ -282,11 +286,7 @@ def prefix_subhypergraph(h: KPartiteHypergraph) -> GeneratedSubhypergraph:
 
 def submaximal_edges(h: KPartiteHypergraph) -> tuple[SubmaximalEdge, ...]:
     """All (k-1)-subsets of vertices contained in at least one edge, sorted."""
-    out = set()
-    for e in h.edges:
-        for combo in itertools.combinations(e, h.k - 1):
-            out.add(SubmaximalEdge(combo))
-    return tuple(sorted(out))
+    return tuple(sorted(SubmaximalEdge(key) for key in h._completions))
 
 
 def _as_vertex_tuple(sub: SubmaximalEdge | Iterable[Vertex]) -> tuple[Vertex, ...]:
@@ -309,14 +309,7 @@ def neighborhood(
     parts = [v.part for v in vs]
     if len(set(parts)) != len(parts):
         raise SamePartError("two vertices share a part")
-    need = set(vs)
-    found = set()
-    for e in h.edges:
-        es = set(e)
-        if need <= es:
-            (extra,) = es - need
-            found.add(extra)
-    return tuple(sorted(found))
+    return h._completions.get(vs, ())
 
 
 def neighborhood_of_set(

@@ -18,7 +18,6 @@ edge ordered by part, the edge list sorted, metadata keys sorted.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from importlib import resources
 from typing import Any, Mapping
 
@@ -28,7 +27,6 @@ from .hypergraph import KPartiteHypergraph, build_hypergraph
 __all__ = [
     "FORMAT_VERSION",
     "FIXTURE_NAMES",
-    "InstanceDocument",
     "parse_instance",
     "serialize_instance",
     "fixture",
@@ -50,77 +48,51 @@ _FIXTURES: dict[str, tuple[str, bool]] = {
 FIXTURE_NAMES = tuple(sorted(_FIXTURES))
 
 
-@dataclass
-class InstanceDocument:
-    """Validated in-memory form of an instance file."""
-
-    format_version: str
-    k: int
-    parts: list[list[str]]
-    edges: list[list[str]]
-    metadata: dict | None = None
-
-    @classmethod
-    def from_text(cls, text: str) -> "InstanceDocument":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise SchemaError("top level must be an object")
-        unknown = set(raw) - set(_TOP_LEVEL_KEYS)
-        if unknown:
-            raise SchemaError(f"unknown fields: {sorted(unknown)}")
-        for key in ("format_version", "k", "parts", "edges"):
-            if key not in raw:
-                raise SchemaError(f"missing field: {key}")
-        if raw["format_version"] != FORMAT_VERSION:
-            raise SchemaError(
-                f"unsupported format_version {raw['format_version']!r}"
-            )
-        k = raw["k"]
-        if not isinstance(k, int) or isinstance(k, bool) or k < 2:
-            raise SchemaError("k must be an integer >= 2")
-        parts = raw["parts"]
-        if not isinstance(parts, list) or len(parts) != k:
-            raise SchemaError(f"parts must be an array of {k} arrays")
-        for i, part in enumerate(parts):
-            if not isinstance(part, list) or not part:
-                raise SchemaError(f"part {i} must be a nonempty array")
-            if not all(isinstance(x, str) for x in part):
-                raise SchemaError(f"part {i} labels must be strings")
-        declared = {x for part in parts for x in part}
-        edges = raw["edges"]
-        if not isinstance(edges, list):
-            raise SchemaError("edges must be an array")
-        for i, edge in enumerate(edges):
-            if not isinstance(edge, list) or len(edge) != k:
-                raise SchemaError(f"edge {i} must be an array of {k} labels")
-            for x in edge:
-                if not isinstance(x, str):
-                    raise SchemaError(f"edge {i} labels must be strings")
-                if x not in declared:
-                    raise SchemaError(f"edge {i} references undeclared label {x!r}")
-        metadata = raw.get("metadata")
-        if metadata is not None and not isinstance(metadata, dict):
-            raise SchemaError("metadata must be an object")
-        return cls(
-            format_version=raw["format_version"],
-            k=k,
-            parts=parts,
-            edges=edges,
-            metadata=metadata,
-        )
-
-    def to_hypergraph(self, *, strict: bool = True) -> KPartiteHypergraph:
-        return build_hypergraph(
-            self.parts, self.edges, strict=strict, metadata=self.metadata
-        )
-
-
 def parse_instance(text: str, *, strict: bool = True) -> KPartiteHypergraph:
     """Parse and validate an instance document."""
-    return InstanceDocument.from_text(text).to_hypergraph(strict=strict)
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise SchemaError("top level must be an object")
+    unknown = set(raw) - set(_TOP_LEVEL_KEYS)
+    if unknown:
+        raise SchemaError(f"unknown fields: {sorted(unknown)}")
+    for key in ("format_version", "k", "parts", "edges"):
+        if key not in raw:
+            raise SchemaError(f"missing field: {key}")
+    if raw["format_version"] != FORMAT_VERSION:
+        raise SchemaError(
+            f"unsupported format_version {raw['format_version']!r}"
+        )
+    k = raw["k"]
+    if not isinstance(k, int) or isinstance(k, bool) or k < 2:
+        raise SchemaError("k must be an integer >= 2")
+    parts = raw["parts"]
+    if not isinstance(parts, list) or len(parts) != k:
+        raise SchemaError(f"parts must be an array of {k} arrays")
+    for i, part in enumerate(parts):
+        if not isinstance(part, list) or not part:
+            raise SchemaError(f"part {i} must be a nonempty array")
+        if not all(isinstance(x, str) for x in part):
+            raise SchemaError(f"part {i} labels must be strings")
+    declared = {x for part in parts for x in part}
+    edges = raw["edges"]
+    if not isinstance(edges, list):
+        raise SchemaError("edges must be an array")
+    for i, edge in enumerate(edges):
+        if not isinstance(edge, list) or len(edge) != k:
+            raise SchemaError(f"edge {i} must be an array of {k} labels")
+        for x in edge:
+            if not isinstance(x, str):
+                raise SchemaError(f"edge {i} labels must be strings")
+            if x not in declared:
+                raise SchemaError(f"edge {i} references undeclared label {x!r}")
+    metadata = raw.get("metadata")
+    if metadata is not None and not isinstance(metadata, dict):
+        raise SchemaError("metadata must be an object")
+    return build_hypergraph(parts, edges, strict=strict, metadata=metadata)
 
 
 def _normalize_metadata(value: Any) -> Any:

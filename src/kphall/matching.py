@@ -1,13 +1,16 @@
 """Perfect-matching enumeration, Hall/SDR machinery, and the extension step.
 
 The pipeline mirrors how the analysis runs: enumerate perfect matchings of
-the prefix subhypergraph, turn one into an SDR instance (element -> candidate
-last-part vertices), measure its Hall deficiency, and extend it to a matching
-of the full hypergraph through a maximum bipartite matching.
+the prefix subhypergraph, and turn each into an SDR instance (element ->
+candidate last-part vertices).  One augmenting-path run on that instance
+gives everything the analysis reports about the matching: its Hall
+deficiency, a violator set when the deficiency is positive, and its
+extension to a matching of the full hypergraph.  `hall_deficiency` and
+`extend_matching` are views of that one run.
 
 Two independent routes compute the deficiency: the augmenting-path engine
-(`hall_deficiency`) and an exhaustive subset check (`hall_subset_oracle`).
-They must always agree; the test suite leans on that redundancy.
+and an exhaustive subset check (`hall_subset_oracle`).  They must always
+agree; the test suite leans on that redundancy.
 """
 
 from __future__ import annotations
@@ -108,6 +111,15 @@ class HallReport:
         return self.deficiency == 0
 
 
+@dataclass(frozen=True)
+class MatchingAnalysis:
+    """Hall report and extension for one enumerated prefix perfect matching."""
+
+    prefix_matching: Matching
+    hall: HallReport
+    extension: Matching
+
+
 def enumerate_perfect_matchings(
     sub: GeneratedSubhypergraph, limit: int = 2
 ) -> list[Matching]:
@@ -136,24 +148,29 @@ def enumerate_perfect_matchings(
     found: list[Matching] = []
     used: set[Vertex] = set()
     chosen: list[Edge] = []
-
-    def walk(i: int) -> None:
-        if len(found) >= limit:
-            return
-        if i == len(first):
-            found.append(Matching.of(chosen))
-            return
-        for tr in by_anchor[first[i]]:
+    # Depth-first over the first part with an explicit stack, so large t
+    # cannot exhaust the recursion limit: one trace iterator per depth, and
+    # chosen[i] is the trace taken at depth i.
+    options = [by_anchor[v] for v in first]
+    stack = [iter(options[0])]
+    while stack:
+        for tr in stack[-1]:
             if used.isdisjoint(tr):
-                used.update(tr)
-                chosen.append(tr)
-                walk(i + 1)
-                chosen.pop()
-                used.difference_update(tr)
-                if len(found) >= limit:
-                    return
-
-    walk(0)
+                break
+        else:
+            stack.pop()
+            if chosen:
+                used.difference_update(chosen.pop())
+            continue
+        used.update(tr)
+        chosen.append(tr)
+        if len(chosen) < len(options):
+            stack.append(iter(options[len(chosen)]))
+            continue
+        found.append(Matching.of(chosen))
+        if len(found) >= limit:
+            break
+        used.difference_update(chosen.pop())
     return found
 
 
@@ -191,20 +208,34 @@ def _kuhn(inst: SdrInstance) -> tuple[list[Vertex | None], dict[Vertex, int]]:
     match_left: list[Vertex | None] = [None] * len(inst.left)
     match_right: dict[Vertex, int] = {}
 
-    def augment(i: int, visited: set[Vertex]) -> bool:
-        for v in inst.adjacency[i]:
-            if v in visited:
+    def augment(root: int) -> None:
+        # Depth-first search for an augmenting path from ``root``, with an
+        # explicit stack so long paths cannot exhaust the recursion limit;
+        # path[d] is the vertex being tried from the element at stack[d].
+        visited: set[Vertex] = set()
+        stack = [(root, iter(inst.adjacency[root]))]
+        path: list[Vertex] = []
+        while stack:
+            for v in stack[-1][1]:
+                if v not in visited:
+                    break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
                 continue
             visited.add(v)
+            path.append(v)
             j = match_right.get(v)
-            if j is None or augment(j, visited):
-                match_left[i] = v
-                match_right[v] = i
-                return True
-        return False
+            if j is None:
+                for (i, _), u in zip(stack, path):
+                    match_left[i] = u
+                    match_right[u] = i
+                return
+            stack.append((j, iter(inst.adjacency[j])))
 
     for i in range(len(inst.left)):
-        augment(i, set())
+        augment(i)
     return match_left, match_right
 
 
@@ -237,13 +268,9 @@ def _violator_cut(
     return tuple(inst.left[i] for i in sorted(reach_left))
 
 
-def hall_deficiency(h: KPartiteHypergraph, m: Matching) -> HallReport:
-    """Deficiency of the neighborhood family of ``m`` via maximum matching.
-
-    ``max_sdr`` is the size of a maximum partial transversal; the witness,
-    present exactly when the deficiency is positive, is a subset A of the
-    matching with |N(A)| = |A| - deficiency.
-    """
+def _analyze(h: KPartiteHypergraph, m: Matching) -> MatchingAnalysis:
+    # One SDR instance and one augmenting-path run give the deficiency, the
+    # violator cut and the extension of ``m`` together.
     inst = sdr_instance(h, m)
     match_left, match_right = _kuhn(inst)
     t = len(inst.left)
@@ -252,9 +279,26 @@ def hall_deficiency(h: KPartiteHypergraph, m: Matching) -> HallReport:
     witness = (
         _violator_cut(inst, match_left, match_right) if deficiency > 0 else None
     )
-    return HallReport(
-        t=t, max_sdr=max_sdr, deficiency=deficiency, witness_violator=witness
+    extension = Matching.of(
+        inst.left[i].vertices + (v,) for i, v in enumerate(match_left) if v is not None
     )
+    return MatchingAnalysis(
+        prefix_matching=m,
+        hall=HallReport(
+            t=t, max_sdr=max_sdr, deficiency=deficiency, witness_violator=witness
+        ),
+        extension=extension,
+    )
+
+
+def hall_deficiency(h: KPartiteHypergraph, m: Matching) -> HallReport:
+    """Deficiency of the neighborhood family of ``m`` via maximum matching.
+
+    ``max_sdr`` is the size of a maximum partial transversal; the witness,
+    present exactly when the deficiency is positive, is a subset A of the
+    matching with |N(A)| = |A| - deficiency.
+    """
+    return _analyze(h, m).hall
 
 
 def hall_subset_oracle(h: KPartiteHypergraph, m: Matching) -> HallReport:
@@ -296,23 +340,7 @@ def extend_matching(h: KPartiteHypergraph, m: Matching) -> Matching:
     Each matched (element, vertex) pair becomes the hyperedge element + vertex;
     the result always has exactly t - deficiency edges.
     """
-    inst = sdr_instance(h, m)
-    match_left, _ = _kuhn(inst)
-    edges = [
-        tuple(sorted(inst.left[i].vertices + (v,)))
-        for i, v in enumerate(match_left)
-        if v is not None
-    ]
-    return Matching.of(edges)
-
-
-@dataclass(frozen=True)
-class MatchingAnalysis:
-    """Hall report and extension for one enumerated prefix perfect matching."""
-
-    prefix_matching: Matching
-    hall: HallReport
-    extension: Matching
+    return _analyze(h, m).extension
 
 
 @dataclass(frozen=True)
@@ -395,14 +423,7 @@ def prefix_hall_verdict(h: KPartiteHypergraph, *, limit: int = 2) -> HallVerdict
         unique = len(matchings) == 1
     else:
         unique = False if len(matchings) >= 2 else None
-    analyses = []
-    for m in matchings:
-        report = hall_deficiency(h, m)
-        analyses.append(
-            MatchingAnalysis(
-                prefix_matching=m, hall=report, extension=extend_matching(h, m)
-            )
-        )
+    analyses = [_analyze(h, m) for m in matchings]
 
     satisfied = [a for a in analyses if a.hall.satisfied]
     best_extension = max(analyses, key=lambda a: len(a.extension)).extension

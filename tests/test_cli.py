@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, JSON output stability."""
 
 import json
+import sys
 
 import pytest
 
@@ -157,6 +158,52 @@ class TestExtend:
         code, _, err = run(capsys, "extend", str(path), "--lenient")
         assert code == 3
         assert "not applicable" in err
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """Run at the interpreter's default recursion limit, whatever it was."""
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(saved)
+
+
+def _bipartite_file(tmp_path, left, right, edges):
+    doc = {"format_version": "1", "k": 2, "parts": [left, right], "edges": edges}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc), "utf-8")
+    return str(path)
+
+
+@pytest.mark.usefixtures("default_recursion_limit")
+class TestExtendDeep:
+    """Inputs deeper than the recursion limit; both once raised RecursionError."""
+
+    def test_many_disjoint_edges(self, capsys, tmp_path):
+        left = [f"a{i:04d}" for i in range(1500)]
+        right = [f"b{i:04d}" for i in range(1500)]
+        edges = [list(e) for e in zip(left, right)]
+        path = _bipartite_file(tmp_path, left, right, edges)
+        code, out, _ = run(capsys, "extend", path, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["size"], payload["deficiency"]) == (1500, 0)
+
+    def test_long_augmenting_path(self, capsys, tmp_path):
+        # a1500 can only take b0000, which shifts every earlier pair by one
+        left = [f"a{i:04d}" for i in range(1501)]
+        right = [f"b{i:04d}" for i in range(1501)]
+        edges = [[left[i], right[i]] for i in range(1500)]
+        edges += [[left[i], right[i + 1]] for i in range(1500)]
+        edges.append([left[1500], right[0]])
+        path = _bipartite_file(tmp_path, left, right, edges)
+        code, out, _ = run(capsys, "extend", path, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["size"], payload["deficiency"]) == (1501, 0)
+        assert payload["edges"][0] == ["a0000", "b0001"]
+        assert payload["edges"][-1] == ["a1500", "b0000"]
 
 
 class TestGenerate:

@@ -7,7 +7,6 @@ import pytest
 from kphall import (
     FIXTURE_NAMES,
     DuplicateLabelError,
-    InstanceDocument,
     ParseError,
     SchemaError,
     UnknownFixtureError,
@@ -173,8 +172,6 @@ class TestFixtures:
 
 class TestInstanceDocument:
     def test_from_text_fields(self):
-        d = InstanceDocument.from_text(doc(metadata={"note": "hi"}))
-        assert d.k == 2
-        assert d.metadata == {"note": "hi"}
-        h = d.to_hypergraph()
+        h = parse_instance(doc(metadata={"note": "hi"}))
+        assert h.k == 2
         assert h.metadata == {"note": "hi"}

@@ -217,3 +217,95 @@ def test_enumeration_and_matching_are_repeatable(h):
 
     inst = sdr_instance(h, m)
     assert max_bipartite_matching(inst) == max_bipartite_matching(inst)
+
+
+# --- single computations against their references -------------------------
+
+
+def _scan_neighborhood(h, vs):
+    """Reference: every edge containing ``vs``, scanned one by one."""
+    need = set(vs)
+    found = {v for e in h.edges if need <= set(e) for v in e if v not in need}
+    return tuple(sorted(found))
+
+
+@settings(max_examples=80, deadline=None)
+@given(instances())
+def test_neighborhood_matches_edge_scan(h):
+    subs = submaximal_edges(h)
+    for sub in subs:
+        assert neighborhood(h, sub) == _scan_neighborhood(h, sub.vertices)
+    # every (k-1)-set with one vertex in each of k-1 distinct parts, most of
+    # them not submaximal edges, given in reverse order
+    for chosen_parts in itertools.combinations(h.parts, h.k - 1):
+        for vs in itertools.product(*chosen_parts):
+            expected = _scan_neighborhood(h, vs)
+            assert neighborhood(h, vs[::-1]) == expected
+            assert (SubmaximalEdge(vs) in subs) == bool(expected)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(instances(max_edges=10), planted_instances(max_k=4, max_t=4)))
+def test_verdict_analyses_equal_the_public_views(h):
+    verdict = prefix_hall_verdict(h, limit=3)
+    for a in verdict.per_matching:
+        assert a.hall == hall_deficiency(h, a.prefix_matching)
+        assert a.extension == extend_matching(h, a.prefix_matching)
+
+
+def _enumeration_reference(sub, limit):
+    """Reference: first-part choices in lexicographic order, filtered."""
+    first = sub.parts[0]
+    options = [
+        [tr for tr in sub.traces if v in tr and len(tr) == len(sub.parts)]
+        for v in first
+    ]
+    out = []
+    for combo in itertools.product(*options):
+        if len({v for tr in combo for v in tr}) == sum(len(tr) for tr in combo):
+            out.append(combo)
+    return [sorted(c) for c in out[:limit]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(instances(max_edges=12), st.integers(1, 4))
+def test_enumeration_order_matches_lexicographic_reference(h, limit):
+    sub = prefix_subhypergraph(h)
+    if len(set(sub.part_sizes)) > 1:
+        return
+    found = enumerate_perfect_matchings(sub, limit=limit)
+    assert [list(m.edges) for m in found] == _enumeration_reference(sub, limit)
+
+
+def _kuhn_reference(inst):
+    """Reference: the recursive augmenting-path search, same visiting order."""
+    match_left = [None] * len(inst.left)
+    match_right = {}
+
+    def augment(i, visited):
+        for v in inst.adjacency[i]:
+            if v in visited:
+                continue
+            visited.add(v)
+            j = match_right.get(v)
+            if j is None or augment(j, visited):
+                match_left[i] = v
+                match_right[v] = i
+                return True
+        return False
+
+    for i in range(len(inst.left)):
+        augment(i, set())
+    return tuple((i, v) for i, v in enumerate(match_left) if v is not None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(instances(min_k=2, max_k=2, max_part=5, max_edges=20))
+def test_kuhn_matches_recursive_reference(h):
+    left = tuple(SubmaximalEdge((v,)) for v in h.parts[0])
+    inst = SdrInstance(
+        left=left,
+        right=h.parts[1],
+        adjacency=tuple(neighborhood(h, s) for s in left),
+    )
+    assert max_bipartite_matching(inst) == _kuhn_reference(inst)
