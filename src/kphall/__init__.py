@@ -13,7 +13,6 @@ from .analysis import AnalysisReport, analysis_jsonable, analyze_instance
 from .campaign import CampaignConfig, CampaignReport, run_campaign
 from .errors import (
     DuplicateLabelError,
-    EmptySubsetError,
     IsolatedVertexError,
     KphallError,
     NotPartiteError,
@@ -31,15 +30,13 @@ from .errors import (
 from .exact import DualityReport, alpha_prime, beta, duality_report
 from .generate import GeneratorParams, gen_planted_unique, gen_random
 from .hypergraph import (
-    GeneratedSubhypergraph,
     KPartiteHypergraph,
     SubmaximalEdge,
     Vertex,
     build_hypergraph,
-    generated_subhypergraph,
     neighborhood,
     neighborhood_of_set,
-    prefix_subhypergraph,
+    prefix_traces,
     rotate_parts,
     submaximal_edges,
 )
@@ -74,9 +71,7 @@ __all__ = [
     "CampaignReport",
     "DualityReport",
     "DuplicateLabelError",
-    "EmptySubsetError",
     "FIXTURE_NAMES",
-    "GeneratedSubhypergraph",
     "GeneratorParams",
     "HallReport",
     "HallVerdict",
@@ -112,7 +107,6 @@ __all__ = [
     "fixture",
     "gen_planted_unique",
     "gen_random",
-    "generated_subhypergraph",
     "hall_deficiency",
     "hall_subset_oracle",
     "max_bipartite_matching",
@@ -120,7 +114,7 @@ __all__ = [
     "neighborhood_of_set",
     "parse_instance",
     "prefix_hall_verdict",
-    "prefix_subhypergraph",
+    "prefix_traces",
     "rotate_parts",
     "run_campaign",
     "sdr_instance",

@@ -38,10 +38,12 @@ def analyze_instance(
     h: KPartiteHypergraph, *, force: bool = False, limit: int = 2
 ) -> AnalysisReport:
     """Run the prefix criterion and the exact solvers on one instance."""
+    # The solvers' size guard must raise before the enumeration does any work.
+    duality = duality_report(h, force=force)
     return AnalysisReport(
         hypergraph=h,
         verdict=prefix_hall_verdict(h, limit=limit),
-        duality=duality_report(h, force=force),
+        duality=duality,
     )
 
 

@@ -60,8 +60,18 @@ def _add_instance_args(sub: argparse.ArgumentParser) -> None:
     )
 
 
+class _UnreadableInputError(Exception):
+    """The instance file could not be read; the message says why."""
+
+
 def _load(args: argparse.Namespace) -> KPartiteHypergraph:
-    text = Path(args.input).read_text("utf-8")
+    # Only the read is guarded: an OSError from writing the report (a
+    # closed stdout pipe, say) is not a read error.
+    try:
+        text = Path(args.input).read_text("utf-8")
+    except OSError as exc:
+        reason = "not found" if isinstance(exc, FileNotFoundError) else exc.strerror
+        raise _UnreadableInputError(f"cannot read {exc.filename}: {reason}") from None
     h = parse_instance(text, strict=args.strict)
     return rotate_parts(h, args.rotate_parts)
 
@@ -336,8 +346,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except FileNotFoundError as exc:
-        print(f"cannot read {exc.filename}: not found", file=sys.stderr)
+    except _UnreadableInputError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_INPUT
     except TooLargeError as exc:
         print(f"too large: {exc} (use --force)", file=sys.stderr)

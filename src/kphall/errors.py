@@ -30,10 +30,6 @@ class IsolatedVertexError(ValidationError):
     """Strict mode: a declared vertex lies in no edge."""
 
 
-class EmptySubsetError(KphallError):
-    """A generated subhypergraph needs a nonempty base vertex set."""
-
-
 class WrongArityError(KphallError):
     """A submaximal edge must have exactly k-1 vertices."""
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from string import ascii_lowercase
 
 from .errors import RetryExhaustedError
-from .hypergraph import KPartiteHypergraph, build_hypergraph, prefix_subhypergraph
+from .hypergraph import KPartiteHypergraph, build_hypergraph
 from .matching import enumerate_perfect_matchings
 
 __all__ = [
@@ -203,7 +203,7 @@ def gen_planted_unique(params: GeneratorParams, seed: int) -> KPartiteHypergraph
             }
         }
         h = build_hypergraph(labels, edges, strict=False, metadata=metadata)
-        found = enumerate_perfect_matchings(prefix_subhypergraph(h), limit=2)
+        found = enumerate_perfect_matchings(h, limit=2)
         if len(found) == 1:
             return h
 

@@ -8,6 +8,11 @@ indices.  All downstream tie-breaking (enumeration order, witnesses, report
 bytes) inherits from this canonical order, so equal inputs always produce
 identical outputs.
 
+The analysis needs one subhypergraph, the one generated on the first k-1
+parts.  Its edges, the prefix traces, are the edges with their last-part
+vertex removed, so `prefix_traces` reads them straight off the canonical
+edge list, already in canonical order.
+
 Instances are immutable; every operation here is a pure function.
 """
 
@@ -19,7 +24,6 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     DuplicateLabelError,
-    EmptySubsetError,
     IsolatedVertexError,
     NotPartiteError,
     NotUniformError,
@@ -32,10 +36,8 @@ __all__ = [
     "Edge",
     "KPartiteHypergraph",
     "SubmaximalEdge",
-    "GeneratedSubhypergraph",
     "build_hypergraph",
-    "generated_subhypergraph",
-    "prefix_subhypergraph",
+    "prefix_traces",
     "submaximal_edges",
     "neighborhood",
     "neighborhood_of_set",
@@ -81,9 +83,6 @@ class KPartiteHypergraph:
     def t(self) -> int:
         """Size of the first part; the target matching size in all verdicts."""
         return len(self.parts[0])
-
-    def vertices(self) -> tuple[Vertex, ...]:
-        return tuple(v for part in self.parts for v in part)
 
     @cached_property
     def _by_label(self) -> dict[str, Vertex]:
@@ -141,25 +140,6 @@ class SubmaximalEdge:
 
     def __str__(self) -> str:
         return "{" + ",".join(v.label for v in self.vertices) + "}"
-
-
-@dataclass(frozen=True)
-class GeneratedSubhypergraph:
-    """Traces of the edges of a host hypergraph on a base vertex set.
-
-    ``parts`` is attached only when the base set is a union of whole parts
-    of the host; only then do uniformity and perfect matchings make sense.
-    """
-
-    base_vertices: tuple[Vertex, ...]
-    traces: tuple[Edge, ...]
-    parts: tuple[tuple[Vertex, ...], ...] | None = None
-
-    @property
-    def part_sizes(self) -> tuple[int, ...] | None:
-        if self.parts is None:
-            return None
-        return tuple(len(p) for p in self.parts)
 
 
 def _canonical_edge_key(edge: Edge) -> tuple[int, ...]:
@@ -249,39 +229,13 @@ def build_hypergraph(
     )
 
 
-def generated_subhypergraph(
-    h: KPartiteHypergraph, base: Iterable[Vertex]
-) -> GeneratedSubhypergraph:
-    """Deduplicated nonempty traces of the edges of ``h`` on ``base``."""
-    base_set = frozenset(base)
-    if not base_set:
-        raise EmptySubsetError("base vertex set is empty")
-    all_vertices = set(h.vertices())
-    foreign = base_set - all_vertices
-    if foreign:
-        raise ValueError(f"vertices not in the hypergraph: {sorted(foreign)}")
+def prefix_traces(h: KPartiteHypergraph) -> tuple[Edge, ...]:
+    """Edges of the subhypergraph generated on all parts but the last.
 
-    traces = {
-        tuple(sorted(set(e) & base_set)) for e in h.edges if set(e) & base_set
-    }
-    trace_list = tuple(sorted(traces, key=_canonical_edge_key))
-
-    part_structure = None
-    selected = [p for p in h.parts if base_set.issuperset(p)]
-    if selected and sum(len(p) for p in selected) == len(base_set):
-        part_structure = tuple(selected)
-
-    return GeneratedSubhypergraph(
-        base_vertices=tuple(sorted(base_set)),
-        traces=trace_list,
-        parts=part_structure,
-    )
-
-
-def prefix_subhypergraph(h: KPartiteHypergraph) -> GeneratedSubhypergraph:
-    """The subhypergraph generated on the union of all parts but the last."""
-    base = [v for part in h.prefix_parts() for v in part]
-    return generated_subhypergraph(h, base)
+    Each is an edge minus its last-part vertex; the canonical edge list
+    yields them in canonical order, and duplicates are dropped.
+    """
+    return tuple(dict.fromkeys(e[:-1] for e in h.edges))
 
 
 def submaximal_edges(h: KPartiteHypergraph) -> tuple[SubmaximalEdge, ...]:

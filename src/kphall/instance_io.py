@@ -54,6 +54,8 @@ def parse_instance(text: str, *, strict: bool = True) -> KPartiteHypergraph:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError("not valid JSON: nested too deeply") from None
     if not isinstance(raw, dict):
         raise SchemaError("top level must be an object")
     unknown = set(raw) - set(_TOP_LEVEL_KEYS)

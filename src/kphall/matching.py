@@ -1,12 +1,13 @@
 """Perfect-matching enumeration, Hall/SDR machinery, and the extension step.
 
 The pipeline mirrors how the analysis runs: enumerate perfect matchings of
-the prefix subhypergraph, and turn each into an SDR instance (element ->
-candidate last-part vertices).  One augmenting-path run on that instance
-gives everything the analysis reports about the matching: its Hall
-deficiency, a violator set when the deficiency is positive, and its
-extension to a matching of the full hypergraph.  `hall_deficiency` and
-`extend_matching` are views of that one run.
+the prefix subhypergraph, whose traces (each edge minus its last-part
+vertex) are read straight off the edge list, and turn each into an SDR
+instance (element -> candidate last-part vertices).  One augmenting-path
+run on that instance gives everything the analysis reports about the
+matching: its Hall deficiency, a violator set when the deficiency is
+positive, and its extension to a matching of the full hypergraph.
+`hall_deficiency` and `extend_matching` are views of that one run.
 
 Two independent routes compute the deficiency: the augmenting-path engine
 and an exhaustive subset check (`hall_subset_oracle`).  They must always
@@ -22,12 +23,11 @@ from typing import Iterable
 from .errors import NotPerfectPrefixMatchingError, TooLargeError
 from .hypergraph import (
     Edge,
-    GeneratedSubhypergraph,
     KPartiteHypergraph,
     SubmaximalEdge,
     Vertex,
     neighborhood,
-    prefix_subhypergraph,
+    prefix_traces,
 )
 
 __all__ = [
@@ -121,29 +121,23 @@ class MatchingAnalysis:
 
 
 def enumerate_perfect_matchings(
-    sub: GeneratedSubhypergraph, limit: int = 2
+    h: KPartiteHypergraph, limit: int = 2
 ) -> list[Matching]:
-    """Up to ``limit`` perfect matchings of a part-structured subhypergraph.
+    """Up to ``limit`` perfect matchings of the prefix subhypergraph of ``h``.
 
     Backtracks over the vertices of the first part in canonical order,
     trying traces in canonical order, so the output order is deterministic.
-    Unequal part sizes mean no perfect matching can exist: empty list.
+    Unequal prefix part sizes mean no perfect matching can exist: empty list.
     """
-    if sub.parts is None:
-        raise ValueError("subhypergraph has no part structure")
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    sizes = sub.part_sizes or ()
-    if len(set(sizes)) > 1:
+    parts = h.prefix_parts()
+    if len({len(p) for p in parts}) > 1:
         return []
 
-    first = sub.parts[0]
-    first_part_index = first[0].part
-    by_anchor: dict[Vertex, list[Edge]] = {v: [] for v in first}
-    for tr in sub.traces:
-        anchor = next((v for v in tr if v.part == first_part_index), None)
-        if anchor is not None and len(tr) == len(sub.parts):
-            by_anchor[anchor].append(tr)
+    by_anchor: dict[Vertex, list[Edge]] = {v: [] for v in parts[0]}
+    for tr in prefix_traces(h):
+        by_anchor[tr[0]].append(tr)
 
     found: list[Matching] = []
     used: set[Vertex] = set()
@@ -151,7 +145,7 @@ def enumerate_perfect_matchings(
     # Depth-first over the first part with an explicit stack, so large t
     # cannot exhaust the recursion limit: one trace iterator per depth, and
     # chosen[i] is the trace taken at depth i.
-    options = [by_anchor[v] for v in first]
+    options = list(by_anchor.values())
     stack = [iter(options[0])]
     while stack:
         for tr in stack[-1]:
@@ -174,25 +168,25 @@ def enumerate_perfect_matchings(
     return found
 
 
-def _check_prefix_matching(
-    h: KPartiteHypergraph, m: Matching
-) -> GeneratedSubhypergraph:
-    sub = prefix_subhypergraph(h)
-    traces = set(sub.traces)
+def _check_prefix_matching(h: KPartiteHypergraph, m: Matching) -> None:
+    # A prefix trace takes one vertex from each of the parts 0..k-2, in part
+    # order, and is the (k-1)-subtuple of some edge.
+    trace_parts = tuple(range(h.k - 1))
     covered: set[Vertex] = set()
     for e in m.edges:
-        if e not in traces:
+        if tuple(v.part for v in e) != trace_parts or e not in h._completions:
             raise NotPerfectPrefixMatchingError(
                 f"{{{','.join(v.label for v in e)}}} is not a prefix trace"
             )
-        if covered & set(e):
+        if not covered.isdisjoint(e):
             raise NotPerfectPrefixMatchingError("matching edges overlap")
         covered.update(e)
-    if covered != set(sub.base_vertices):
+    # Every covered vertex is a prefix vertex of h, so equal counts mean
+    # every prefix vertex is covered.
+    if len(covered) != sum(len(p) for p in h.prefix_parts()):
         raise NotPerfectPrefixMatchingError(
             "matching does not cover every prefix vertex"
         )
-    return sub
 
 
 def sdr_instance(h: KPartiteHypergraph, m: Matching) -> SdrInstance:
@@ -411,8 +405,7 @@ def prefix_hall_verdict(h: KPartiteHypergraph, *, limit: int = 2) -> HallVerdict
             t, 0, f"prefix part sizes {sorted(prefix_sizes)} are not all {t}"
         )
 
-    sub = prefix_subhypergraph(h)
-    matchings = enumerate_perfect_matchings(sub, limit=limit)
+    matchings = enumerate_perfect_matchings(h, limit=limit)
     if not matchings:
         return _not_applicable(t, 0, "prefix subhypergraph has no perfect matching")
 

@@ -40,6 +40,20 @@ class TestValidate:
         assert code == 2
         assert "not found" in err
 
+    def test_directory_input(self, capsys, tmp_path):
+        code, out, err = run(capsys, "validate", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"cannot read {tmp_path}: ")
+
+    def test_deeply_nested_document(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000, "utf-8")
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2
+        assert out == ""
+        assert "not valid JSON" in err
+
     def test_strict_rejects_isolated(self, capsys, tmp_path):
         path = tmp_path / "iso.json"
         path.write_text(serialize_instance(fixture("k2_hall_fail")), "utf-8")
@@ -230,10 +244,10 @@ class TestGenerate:
             "--out", str(out_path),
         )
         assert code == 0
-        from kphall import enumerate_perfect_matchings, parse_instance, prefix_subhypergraph
+        from kphall import enumerate_perfect_matchings, parse_instance
 
         h = parse_instance(out_path.read_text(), strict=False)
-        assert len(enumerate_perfect_matchings(prefix_subhypergraph(h), 2)) == 1
+        assert len(enumerate_perfect_matchings(h, 2)) == 1
 
     def test_out_of_range_probability(self, capsys):
         code, _, err = run(

@@ -5,6 +5,7 @@ import pytest
 from kphall import (
     TooLargeError,
     alpha_prime,
+    analyze_instance,
     beta,
     build_hypergraph,
     duality_report,
@@ -103,6 +104,20 @@ class TestSizeGuard:
             alpha_prime(h)
         with pytest.raises(TooLargeError):
             beta(h)
+
+    def test_guard_runs_before_the_verdict(self, monkeypatch):
+        import kphall.analysis
+
+        def verdict_must_not_run(*args, **kwargs):
+            raise AssertionError("prefix verdict ran before the size guard")
+
+        monkeypatch.setattr(kphall.analysis, "prefix_hall_verdict", verdict_must_not_run)
+        parts = [[f"a{i}" for i in range(6)], [f"b{j}" for j in range(7)]]
+        edges = [[a, b] for a in parts[0] for b in parts[1]][:41]
+        h = build_hypergraph(parts, edges)
+        assert len(h.edges) == 41
+        with pytest.raises(TooLargeError):
+            analyze_instance(h)
 
     def test_force_lifts_guard(self):
         h = gen_random(

@@ -10,7 +10,7 @@ from kphall import (
     enumerate_perfect_matchings,
     gen_planted_unique,
     gen_random,
-    prefix_subhypergraph,
+    prefix_traces,
     serialize_instance,
 )
 from kphall.generate import derive_seed, randbelow, unit_float
@@ -61,12 +61,12 @@ class TestPlantedUnique:
     def test_trivial_t1(self):
         params = GeneratorParams(k=3, part_sizes=(1, 1, 1), trace_density=0.0)
         h = gen_planted_unique(params, 5)
-        assert len(enumerate_perfect_matchings(prefix_subhypergraph(h), 2)) == 1
+        assert len(enumerate_perfect_matchings(h, 2)) == 1
 
     def test_requested_example_is_unique(self):
         params = GeneratorParams(k=3, part_sizes=(3, 3, 3), trace_density=0.5)
         h = gen_planted_unique(params, 7)
-        assert len(enumerate_perfect_matchings(prefix_subhypergraph(h), 2)) == 1
+        assert len(enumerate_perfect_matchings(h, 2)) == 1
 
     @pytest.mark.parametrize("seed", range(40))
     def test_uniqueness_across_seeds(self, seed):
@@ -74,7 +74,7 @@ class TestPlantedUnique:
             k=4, part_sizes=(4, 4, 4, 3), trace_density=0.7, attachments_per_trace=2
         )
         h = gen_planted_unique(params, seed)
-        assert len(enumerate_perfect_matchings(prefix_subhypergraph(h), 2)) == 1
+        assert len(enumerate_perfect_matchings(h, 2)) == 1
         assert h.metadata["generator"]["attempt"] == 0
 
     def test_determinism(self):
@@ -92,15 +92,14 @@ class TestPlantedUnique:
     def test_k2_reduces_to_random_bipartite_attachment(self):
         params = GeneratorParams(k=2, part_sizes=(3, 3), trace_density=0.9)
         h = gen_planted_unique(params, 3)
-        sub = prefix_subhypergraph(h)
-        assert [len(tr) for tr in sub.traces] == [1, 1, 1]
+        assert [len(tr) for tr in prefix_traces(h)] == [1, 1, 1]
 
     def test_retry_exhaustion_raises(self, monkeypatch):
         import kphall.generate as generate_module
         from kphall import RetryExhaustedError
 
         monkeypatch.setattr(
-            generate_module, "enumerate_perfect_matchings", lambda sub, limit: []
+            generate_module, "enumerate_perfect_matchings", lambda h, limit: []
         )
         params = GeneratorParams(k=3, part_sizes=(2, 2, 2), trace_density=0.5)
         with pytest.raises(RetryExhaustedError):
@@ -113,8 +112,12 @@ class TestStaircasePrinciple:
 
     @pytest.mark.parametrize("t", range(1, 7))
     def test_unique_pm(self, t):
-        parts = [[f"l{i}" for i in range(t)], [f"r{i}" for i in range(t)]]
-        edges = [[f"l{i}", f"r{j}"] for i in range(t) for j in range(t) if i <= j]
+        # the bipartite staircase is the prefix of a 3-partite instance whose
+        # last part is one vertex, so every edge's trace is a staircase pair
+        parts = [[f"l{i}" for i in range(t)], [f"r{i}" for i in range(t)], ["z"]]
+        edges = [
+            [f"l{i}", f"r{j}", "z"] for i in range(t) for j in range(t) if i <= j
+        ]
         h = build_hypergraph(parts, edges)
         brute = sum(
             1
@@ -122,11 +125,7 @@ class TestStaircasePrinciple:
             if all(i <= perm[i] for i in range(t))
         )
         assert brute == 1
-        # the full instance seen as 2-partite: enumerate PMs of <V1 u V2> = H itself
-        from kphall import generated_subhypergraph
-
-        sub = generated_subhypergraph(h, h.vertices())
-        assert len(enumerate_perfect_matchings(sub, limit=5)) == 1
+        assert len(enumerate_perfect_matchings(h, limit=5)) == 1
 
 
 class TestStream:

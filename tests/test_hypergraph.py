@@ -1,20 +1,18 @@
-"""Core data model: validation, subhypergraphs, submaximal edges, neighborhoods."""
+"""Core data model: validation, prefix traces, submaximal edges, neighborhoods."""
 
 import pytest
 
 from kphall import (
     DuplicateLabelError,
-    EmptySubsetError,
     IsolatedVertexError,
     NotPartiteError,
     NotUniformError,
     SamePartError,
     WrongArityError,
     build_hypergraph,
-    generated_subhypergraph,
     neighborhood,
     neighborhood_of_set,
-    prefix_subhypergraph,
+    prefix_traces,
     rotate_parts,
     submaximal_edges,
 )
@@ -86,37 +84,16 @@ class TestBuildValidate:
 
 class TestGeneratedSubhypergraph:
     def test_prefix_traces(self, nonunique):
-        sub = prefix_subhypergraph(nonunique)
-        assert labels(sub.traces) == [
+        assert labels(prefix_traces(nonunique)) == [
             ["x1", "y1"],
             ["x1", "y2"],
             ["x2", "y1"],
             ["x2", "y2"],
         ]
-        assert sub.part_sizes == (2, 2)
+        assert nonunique.part_sizes[:-1] == (2, 2)
 
     def test_prefix_traces_gap(self, gap):
-        sub = prefix_subhypergraph(gap)
-        assert labels(sub.traces) == [["1", "3"], ["2", "3"], ["2", "4"]]
-
-    def test_full_vertex_set_reproduces_edges(self, nonunique):
-        sub = generated_subhypergraph(nonunique, nonunique.vertices())
-        assert sub.traces == nonunique.edges
-        assert sub.parts == nonunique.parts
-
-    def test_arbitrary_subset_has_no_part_structure(self, nonunique):
-        vs = [nonunique.vertex("x1"), nonunique.vertex("y1"), nonunique.vertex("y2")]
-        sub = generated_subhypergraph(nonunique, vs)
-        assert sub.parts is None
-        assert labels(sub.traces) == [["x1", "y1"], ["x1", "y2"], ["y1"], ["y2"]]
-
-    def test_empty_subset(self, nonunique):
-        with pytest.raises(EmptySubsetError):
-            generated_subhypergraph(nonunique, [])
-
-    def test_foreign_vertex(self, nonunique, gap):
-        with pytest.raises(ValueError):
-            generated_subhypergraph(nonunique, [gap.vertex("1")])
+        assert labels(prefix_traces(gap)) == [["1", "3"], ["2", "3"], ["2", "4"]]
 
 
 class TestSubmaximalEdges:

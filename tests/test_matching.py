@@ -19,7 +19,6 @@ from kphall import (
     max_bipartite_matching,
     neighborhood_of_set,
     prefix_hall_verdict,
-    prefix_subhypergraph,
     sdr_instance,
 )
 from conftest import labels
@@ -31,7 +30,7 @@ def prefix_matching(h, *edges):
 
 class TestEnumeratePerfectMatchings:
     def test_nonunique_prefix_has_two(self, nonunique):
-        ms = enumerate_perfect_matchings(prefix_subhypergraph(nonunique), limit=2)
+        ms = enumerate_perfect_matchings(nonunique, limit=2)
         assert len(ms) == 2
         found = {tuple(tuple(v.label for v in e) for e in m.edges) for m in ms}
         assert found == {
@@ -40,11 +39,11 @@ class TestEnumeratePerfectMatchings:
         }
 
     def test_limit_caps_enumeration(self, nonunique):
-        ms = enumerate_perfect_matchings(prefix_subhypergraph(nonunique), limit=1)
+        ms = enumerate_perfect_matchings(nonunique, limit=1)
         assert len(ms) == 1
 
     def test_gap_prefix_is_unique(self, gap):
-        ms = enumerate_perfect_matchings(prefix_subhypergraph(gap), limit=5)
+        ms = enumerate_perfect_matchings(gap, limit=5)
         assert len(ms) == 1
         assert labels(ms[0].edges) == [["1", "3"], ["2", "4"]]
 
@@ -53,16 +52,7 @@ class TestEnumeratePerfectMatchings:
             [["a", "b"], ["c"], ["d"]],
             [["a", "c", "d"], ["b", "c", "d"]],
         )
-        assert enumerate_perfect_matchings(prefix_subhypergraph(h), limit=2) == []
-
-    def test_part_structure_required(self, nonunique):
-        from kphall import generated_subhypergraph
-
-        sub = generated_subhypergraph(
-            nonunique, [nonunique.vertex("x1"), nonunique.vertex("y1")]
-        )
-        with pytest.raises(ValueError):
-            enumerate_perfect_matchings(sub, limit=1)
+        assert enumerate_perfect_matchings(h, limit=2) == []
 
 
 class TestMaxBipartiteMatching:
@@ -185,7 +175,7 @@ class TestExtendMatching:
 
     def test_size_law_on_fixtures(self, nonunique, gap, k2_fail, single_edge):
         for h in (nonunique, gap, k2_fail, single_edge):
-            ms = enumerate_perfect_matchings(prefix_subhypergraph(h), limit=4)
+            ms = enumerate_perfect_matchings(h, limit=4)
             for m in ms:
                 r = hall_deficiency(h, m)
                 assert len(extend_matching(h, m)) == r.t - r.deficiency

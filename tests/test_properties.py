@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 from kphall import (
     GeneratorParams,
     MATCHING_EXISTS,
+    Matching,
     NO_MATCHING,
+    NotPerfectPrefixMatchingError,
     SdrInstance,
     SubmaximalEdge,
     alpha_prime,
@@ -26,7 +28,7 @@ from kphall import (
     neighborhood,
     neighborhood_of_set,
     prefix_hall_verdict,
-    prefix_subhypergraph,
+    sdr_instance,
     serialize_instance,
     submaximal_edges,
 )
@@ -87,14 +89,6 @@ def test_edge_vertex_completes_its_rest(h):
 
 
 @given(instances())
-def test_generated_on_everything_is_identity(h):
-    from kphall import generated_subhypergraph
-
-    sub = generated_subhypergraph(h, h.vertices())
-    assert sub.traces == h.edges
-
-
-@given(instances())
 def test_build_is_deterministic(h):
     rebuilt = build_hypergraph(
         [[v.label for v in part] for part in h.parts],
@@ -120,7 +114,7 @@ def brute_deficiency(h, m):
 @settings(max_examples=60, deadline=None)
 @given(planted_instances(max_k=4, max_t=4))
 def test_deficiency_routes_agree(h):
-    (m,) = enumerate_perfect_matchings(prefix_subhypergraph(h), limit=2)
+    (m,) = enumerate_perfect_matchings(h, limit=2)
     fast = hall_deficiency(h, m)
     slow = hall_subset_oracle(h, m)
     assert fast.deficiency == slow.deficiency == brute_deficiency(h, m)
@@ -137,7 +131,7 @@ def test_deficiency_routes_agree(h):
 @settings(max_examples=60, deadline=None)
 @given(planted_instances(max_k=4, max_t=4))
 def test_extension_size_law(h):
-    (m,) = enumerate_perfect_matchings(prefix_subhypergraph(h), limit=2)
+    (m,) = enumerate_perfect_matchings(h, limit=2)
     report = hall_deficiency(h, m)
     ext = extend_matching(h, m)
     assert len(ext) == report.t - report.deficiency
@@ -150,7 +144,7 @@ def test_extension_size_law(h):
 @settings(max_examples=60, deadline=None)
 @given(planted_instances(max_k=4, max_t=4))
 def test_unique_prefix_criterion_is_exact(h):
-    (m,) = enumerate_perfect_matchings(prefix_subhypergraph(h), limit=2)
+    (m,) = enumerate_perfect_matchings(h, limit=2)
     deficiency = hall_deficiency(h, m).deficiency
     a, _ = alpha_prime(h, force=True)
     assert (deficiency == 0) == (a >= h.t)
@@ -208,13 +202,10 @@ def test_bipartite_konig_and_hall_reduction(h):
 @settings(max_examples=40, deadline=None)
 @given(planted_instances(max_k=3, max_t=3))
 def test_enumeration_and_matching_are_repeatable(h):
-    sub = prefix_subhypergraph(h)
-    first = enumerate_perfect_matchings(sub, limit=2)
-    second = enumerate_perfect_matchings(sub, limit=2)
+    first = enumerate_perfect_matchings(h, limit=2)
+    second = enumerate_perfect_matchings(h, limit=2)
     assert first == second
     m = first[0]
-    from kphall import sdr_instance
-
     inst = sdr_instance(h, m)
     assert max_bipartite_matching(inst) == max_bipartite_matching(inst)
 
@@ -253,13 +244,13 @@ def test_verdict_analyses_equal_the_public_views(h):
         assert a.extension == extend_matching(h, a.prefix_matching)
 
 
-def _enumeration_reference(sub, limit):
+def _enumeration_reference(h, limit):
     """Reference: first-part choices in lexicographic order, filtered."""
-    first = sub.parts[0]
-    options = [
-        [tr for tr in sub.traces if v in tr and len(tr) == len(sub.parts)]
-        for v in first
-    ]
+    traces = sorted(
+        {tuple(v for v in e if v.part < h.k - 1) for e in h.edges},
+        key=lambda tr: [v.index for v in tr],
+    )
+    options = [[tr for tr in traces if v in tr] for v in h.parts[0]]
     out = []
     for combo in itertools.product(*options):
         if len({v for tr in combo for v in tr}) == sum(len(tr) for tr in combo):
@@ -270,11 +261,10 @@ def _enumeration_reference(sub, limit):
 @settings(max_examples=80, deadline=None)
 @given(instances(max_edges=12), st.integers(1, 4))
 def test_enumeration_order_matches_lexicographic_reference(h, limit):
-    sub = prefix_subhypergraph(h)
-    if len(set(sub.part_sizes)) > 1:
+    if len(set(h.part_sizes[:-1])) > 1:
         return
-    found = enumerate_perfect_matchings(sub, limit=limit)
-    assert [list(m.edges) for m in found] == _enumeration_reference(sub, limit)
+    found = enumerate_perfect_matchings(h, limit=limit)
+    assert [list(m.edges) for m in found] == _enumeration_reference(h, limit)
 
 
 def _kuhn_reference(inst):
@@ -309,3 +299,61 @@ def test_kuhn_matches_recursive_reference(h):
         adjacency=tuple(neighborhood(h, s) for s in left),
     )
     assert max_bipartite_matching(inst) == _kuhn_reference(inst)
+
+
+def _accepts_prefix_matching(h, edges):
+    """Reference: disjoint traces of edges of h that cover every prefix vertex."""
+    traces = {e[:-1] for e in h.edges}
+    covered = [v for e in edges for v in e]
+    prefix = {v for part in h.parts[:-1] for v in part}
+    return (
+        all(e in traces for e in edges)
+        and len(covered) == len(set(covered))
+        and set(covered) == prefix
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(max_edges=12), st.data())
+def test_prefix_matching_check_matches_reference(h, data):
+    # The same instance under other labels: its vertices sit at the same
+    # (part, index) positions as those of h but are not vertices of h.
+    relabeled = build_hypergraph(
+        [["c" + v.label for v in part] for part in h.parts],
+        [["c" + v.label for v in e] for e in h.edges],
+        strict=False,
+    )
+    traces = sorted({e[:-1] for e in h.edges})
+
+    def pick(options):
+        return data.draw(st.sampled_from(options))
+
+    def prefix_tuple():
+        return tuple(pick(part) for part in h.parts[:-1])
+
+    candidates = [
+        (pick(h.edges),),
+        (pick(traces), pick(traces)),
+        tuple(prefix_tuple() for _ in range(h.t)),
+    ]
+    for m in enumerate_perfect_matchings(h, limit=3):
+        edges = list(m.edges)
+        i = data.draw(st.integers(0, len(edges) - 1))
+        j = data.draw(st.integers(0, h.k - 2))
+        e = edges[i]
+        foreign = e[:j] + (relabeled.parts[j][e[j].index],) + e[j + 1 :]
+        candidates += [
+            tuple(edges),
+            tuple(edges[:i] + [prefix_tuple()] + edges[i + 1 :]),
+            tuple(edges[:i] + [pick(h.edges)[1:]] + edges[i + 1 :]),
+            tuple(edges[:i] + edges[i + 1 :]),
+            tuple(edges[:i] + [foreign] + edges[i + 1 :]),
+            tuple(edges + [e]),
+        ]
+    for edges in candidates:
+        try:
+            sdr_instance(h, Matching(edges))
+            accepted = True
+        except NotPerfectPrefixMatchingError:
+            accepted = False
+        assert accepted == _accepts_prefix_matching(h, edges), edges
