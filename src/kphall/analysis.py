@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .exact import DualityReport, duality_report
-from .hypergraph import Edge, KPartiteHypergraph, SubmaximalEdge, neighborhood_of_set
+from .hypergraph import Edge, KPartiteHypergraph, neighborhood_of_set
 from .matching import HallReport, HallVerdict, Matching, prefix_hall_verdict
 
 __all__ = [
@@ -47,7 +47,7 @@ def analyze_instance(
     )
 
 
-def edge_labels(edge: Edge | SubmaximalEdge) -> list[str]:
+def edge_labels(edge: Edge) -> list[str]:
     return [v.label for v in edge]
 
 

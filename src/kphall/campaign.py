@@ -38,12 +38,7 @@ from .generate import (
     randbelow,
     unit_float,
 )
-from .hypergraph import (
-    KPartiteHypergraph,
-    SubmaximalEdge,
-    neighborhood,
-    neighborhood_of_set,
-)
+from .hypergraph import KPartiteHypergraph, neighborhood, neighborhood_of_set
 from .instance_io import serialize_instance
 from .matching import (
     MATCHING_EXISTS,
@@ -171,11 +166,9 @@ def _check_k2_reduction(h: KPartiteHypergraph) -> str | None:
     if h.k != 2:
         return f"expected a bipartite instance, got k={h.k}"
     verdict = prefix_hall_verdict(h)
-    left = tuple(SubmaximalEdge((v,)) for v in h.parts[0])
+    left = tuple((v,) for v in h.parts[0])
     inst = SdrInstance(
-        left=left,
-        right=h.parts[1],
-        adjacency=tuple(neighborhood(h, s) for s in left),
+        left=left, adjacency=tuple(neighborhood(h, s) for s in left)
     )
     saturated = len(max_bipartite_matching(inst)) == h.t
     claims_exists = verdict.applicable and verdict.conclusion == MATCHING_EXISTS

@@ -180,7 +180,10 @@ def _format_verdict(verdict: HallVerdict) -> list[str]:
         d = a.hall.deficiency
         line = f"  M{i} = {a.prefix_matching}: deficiency {d}"
         if a.hall.witness_violator is not None:
-            viol = ", ".join(str(s) for s in a.hall.witness_violator)
+            viol = ", ".join(
+                "{" + ",".join(v.label for v in s) + "}"
+                for s in a.hall.witness_violator
+            )
             line += f" (violator: {viol})"
         line += f"; extension size {len(a.extension)}: {a.extension}"
         lines.append(line)

@@ -11,7 +11,9 @@ identical outputs.
 The analysis needs one subhypergraph, the one generated on the first k-1
 parts.  Its edges, the prefix traces, are the edges with their last-part
 vertex removed, so `prefix_traces` reads them straight off the canonical
-edge list, already in canonical order.
+edge list, already in canonical order.  A submaximal edge, a (k-1)-set of
+vertices contained in some edge, is a plain vertex tuple in part order,
+the same canonical `Edge` form that edges and traces use.
 
 Instances are immutable; every operation here is a pure function.
 """
@@ -35,7 +37,6 @@ __all__ = [
     "Vertex",
     "Edge",
     "KPartiteHypergraph",
-    "SubmaximalEdge",
     "build_hypergraph",
     "prefix_traces",
     "submaximal_edges",
@@ -92,10 +93,6 @@ class KPartiteHypergraph:
         """Look up a vertex by its label."""
         return self._by_label[label]
 
-    def edge_by_labels(self, labels: Iterable[str]) -> Edge:
-        """Build a canonical edge tuple from labels (need not be an edge of H)."""
-        return tuple(sorted(self.vertex(x) for x in labels))
-
     @cached_property
     def _edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
@@ -118,28 +115,6 @@ class KPartiteHypergraph:
 
     def last_part(self) -> tuple[Vertex, ...]:
         return self.parts[-1]
-
-
-@dataclass(frozen=True, order=True)
-class SubmaximalEdge:
-    """A (k-1)-set of vertices contained in at least one hyperedge."""
-
-    vertices: tuple[Vertex, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
-        parts = [v.part for v in self.vertices]
-        if len(set(parts)) != len(parts):
-            raise SamePartError(f"two vertices share a part in {self}")
-
-    def __iter__(self):
-        return iter(self.vertices)
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def __str__(self) -> str:
-        return "{" + ",".join(v.label for v in self.vertices) + "}"
 
 
 def _canonical_edge_key(edge: Edge) -> tuple[int, ...]:
@@ -238,26 +213,18 @@ def prefix_traces(h: KPartiteHypergraph) -> tuple[Edge, ...]:
     return tuple(dict.fromkeys(e[:-1] for e in h.edges))
 
 
-def submaximal_edges(h: KPartiteHypergraph) -> tuple[SubmaximalEdge, ...]:
+def submaximal_edges(h: KPartiteHypergraph) -> tuple[Edge, ...]:
     """All (k-1)-subsets of vertices contained in at least one edge, sorted."""
-    return tuple(sorted(SubmaximalEdge(key) for key in h._completions))
+    return tuple(sorted(h._completions))
 
 
-def _as_vertex_tuple(sub: SubmaximalEdge | Iterable[Vertex]) -> tuple[Vertex, ...]:
-    if isinstance(sub, SubmaximalEdge):
-        return sub.vertices
-    return tuple(sorted(sub))
-
-
-def neighborhood(
-    h: KPartiteHypergraph, sub: SubmaximalEdge | Iterable[Vertex]
-) -> tuple[Vertex, ...]:
+def neighborhood(h: KPartiteHypergraph, sub: Iterable[Vertex]) -> tuple[Vertex, ...]:
     """Vertices v such that sub + {v} is an edge of h, in canonical order.
 
     Empty when ``sub`` is not a submaximal edge of h; that is a valid
     outcome, not an error.
     """
-    vs = _as_vertex_tuple(sub)
+    vs = tuple(sorted(sub))
     if len(vs) != h.k - 1:
         raise WrongArityError(f"expected {h.k - 1} vertices, got {len(vs)}")
     parts = [v.part for v in vs]
@@ -267,7 +234,7 @@ def neighborhood(
 
 
 def neighborhood_of_set(
-    h: KPartiteHypergraph, subs: Iterable[SubmaximalEdge | Iterable[Vertex]]
+    h: KPartiteHypergraph, subs: Iterable[Iterable[Vertex]]
 ) -> tuple[Vertex, ...]:
     """Union of the neighborhoods of the given submaximal edges."""
     out: set[Vertex] = set()

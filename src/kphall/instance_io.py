@@ -98,11 +98,42 @@ def parse_instance(text: str, *, strict: bool = True) -> KPartiteHypergraph:
 
 
 def _normalize_metadata(value: Any) -> Any:
-    if isinstance(value, dict):
-        return {k: _normalize_metadata(value[k]) for k in sorted(value)}
-    if isinstance(value, list):
-        return [_normalize_metadata(x) for x in value]
-    return value
+    """A copy of ``value`` with the keys of every dict sorted.
+
+    Built with an explicit stack, so metadata nested as deeply as
+    `parse_instance` accepts cannot exhaust the recursion limit.  A
+    container inside itself raises ValueError, as `json.dumps` would.
+    """
+    stack: list[tuple[Any, Any]] = []
+    open_ids: set[int] = set()  # containers on the path being copied
+
+    def enqueue(x: Any) -> Any:
+        # The (still empty) copy of a container, queued to be filled.
+        if isinstance(x, dict):
+            out: Any = {}
+        elif isinstance(x, list):
+            out = []
+        else:
+            return x
+        if id(x) in open_ids:
+            raise ValueError("Circular reference detected")
+        stack.append((x, out))
+        return out
+
+    root = enqueue(value)
+    while stack:
+        src, out = stack.pop()
+        if out is None:
+            open_ids.discard(id(src))
+            continue
+        open_ids.add(id(src))
+        stack.append((src, None))  # popped once src's subtree is copied
+        if isinstance(src, dict):
+            for k in sorted(src):
+                out[k] = enqueue(src[k])
+        else:
+            out.extend([enqueue(x) for x in src])
+    return root
 
 
 def serialize_instance(

@@ -3,11 +3,12 @@
 The pipeline mirrors how the analysis runs: enumerate perfect matchings of
 the prefix subhypergraph, whose traces (each edge minus its last-part
 vertex) are read straight off the edge list, and turn each into an SDR
-instance (element -> candidate last-part vertices).  One augmenting-path
-run on that instance gives everything the analysis reports about the
+instance (element -> candidate last-part vertices).  Each element is a
+plain vertex tuple, read with its candidates straight off the instance's
+cached completions index.  One augmenting-path run on that instance,
+`analyze_matching`, gives everything the analysis reports about the
 matching: its Hall deficiency, a violator set when the deficiency is
 positive, and its extension to a matching of the full hypergraph.
-`hall_deficiency` and `extend_matching` are views of that one run.
 
 Two independent routes compute the deficiency: the augmenting-path engine
 and an exhaustive subset check (`hall_subset_oracle`).  They must always
@@ -21,14 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import NotPerfectPrefixMatchingError, TooLargeError
-from .hypergraph import (
-    Edge,
-    KPartiteHypergraph,
-    SubmaximalEdge,
-    Vertex,
-    neighborhood,
-    prefix_traces,
-)
+from .hypergraph import Edge, KPartiteHypergraph, Vertex, prefix_traces
 
 __all__ = [
     "Matching",
@@ -43,9 +37,8 @@ __all__ = [
     "enumerate_perfect_matchings",
     "sdr_instance",
     "max_bipartite_matching",
-    "hall_deficiency",
+    "analyze_matching",
     "hall_subset_oracle",
-    "extend_matching",
     "prefix_hall_verdict",
 ]
 
@@ -79,9 +72,6 @@ class Matching:
     def __iter__(self):
         return iter(self.edges)
 
-    def vertices(self) -> frozenset[Vertex]:
-        return frozenset(v for e in self.edges for v in e)
-
     def __str__(self) -> str:
         return " | ".join(
             "{" + ",".join(v.label for v in e) + "}" for e in self.edges
@@ -90,10 +80,9 @@ class Matching:
 
 @dataclass(frozen=True)
 class SdrInstance:
-    """Bipartite instance: matching elements on the left, a part on the right."""
+    """Bipartite instance: each left element with its candidate vertices."""
 
-    left: tuple[SubmaximalEdge, ...]
-    right: tuple[Vertex, ...]
+    left: tuple[Edge, ...]
     adjacency: tuple[tuple[Vertex, ...], ...]
 
 
@@ -104,7 +93,7 @@ class HallReport:
     t: int
     max_sdr: int
     deficiency: int
-    witness_violator: tuple[SubmaximalEdge, ...] | None
+    witness_violator: tuple[Edge, ...] | None
 
     @property
     def satisfied(self) -> bool:
@@ -192,9 +181,9 @@ def _check_prefix_matching(h: KPartiteHypergraph, m: Matching) -> None:
 def sdr_instance(h: KPartiteHypergraph, m: Matching) -> SdrInstance:
     """SDR instance of a prefix perfect matching: elements vs last-part vertices."""
     _check_prefix_matching(h, m)
-    left = tuple(SubmaximalEdge(e) for e in m.edges)
-    adjacency = tuple(neighborhood(h, sub) for sub in left)
-    return SdrInstance(left=left, right=h.last_part(), adjacency=adjacency)
+    return SdrInstance(
+        left=m.edges, adjacency=tuple(h._completions[e] for e in m.edges)
+    )
 
 
 def _kuhn(inst: SdrInstance) -> tuple[list[Vertex | None], dict[Vertex, int]]:
@@ -243,7 +232,7 @@ def _violator_cut(
     inst: SdrInstance,
     match_left: list[Vertex | None],
     match_right: dict[Vertex, int],
-) -> tuple[SubmaximalEdge, ...]:
+) -> tuple[Edge, ...]:
     # Left elements reachable from unmatched left elements by alternating
     # paths; by Koenig duality this set maximizes |A| - |N(A)|.
     reach_left = {i for i, v in enumerate(match_left) if v is None}
@@ -262,9 +251,16 @@ def _violator_cut(
     return tuple(inst.left[i] for i in sorted(reach_left))
 
 
-def _analyze(h: KPartiteHypergraph, m: Matching) -> MatchingAnalysis:
-    # One SDR instance and one augmenting-path run give the deficiency, the
-    # violator cut and the extension of ``m`` together.
+def analyze_matching(h: KPartiteHypergraph, m: Matching) -> MatchingAnalysis:
+    """Hall deficiency, violator and extension of a prefix perfect matching.
+
+    One SDR instance and one augmenting-path run give all three.
+    ``hall.max_sdr`` is the size of a maximum partial transversal; the
+    witness, present exactly when the deficiency is positive, is a subset A
+    of the matching with |N(A)| = |A| - deficiency.  Each matched (element,
+    vertex) pair becomes the hyperedge element + vertex of the extension,
+    which always has exactly t - deficiency edges.
+    """
     inst = sdr_instance(h, m)
     match_left, match_right = _kuhn(inst)
     t = len(inst.left)
@@ -274,7 +270,7 @@ def _analyze(h: KPartiteHypergraph, m: Matching) -> MatchingAnalysis:
         _violator_cut(inst, match_left, match_right) if deficiency > 0 else None
     )
     extension = Matching.of(
-        inst.left[i].vertices + (v,) for i, v in enumerate(match_left) if v is not None
+        inst.left[i] + (v,) for i, v in enumerate(match_left) if v is not None
     )
     return MatchingAnalysis(
         prefix_matching=m,
@@ -285,18 +281,8 @@ def _analyze(h: KPartiteHypergraph, m: Matching) -> MatchingAnalysis:
     )
 
 
-def hall_deficiency(h: KPartiteHypergraph, m: Matching) -> HallReport:
-    """Deficiency of the neighborhood family of ``m`` via maximum matching.
-
-    ``max_sdr`` is the size of a maximum partial transversal; the witness,
-    present exactly when the deficiency is positive, is a subset A of the
-    matching with |N(A)| = |A| - deficiency.
-    """
-    return _analyze(h, m).hall
-
-
 def hall_subset_oracle(h: KPartiteHypergraph, m: Matching) -> HallReport:
-    """Same contract as hall_deficiency, by exhaustive subset enumeration.
+    """The Hall report of ``analyze_matching``, by exhaustive subset enumeration.
 
     Deliberately independent of the augmenting-path engine; guarded at
     2^t subsets with t <= SUBSET_ORACLE_LIMIT.
@@ -326,15 +312,6 @@ def hall_subset_oracle(h: KPartiteHypergraph, m: Matching) -> HallReport:
     return HallReport(
         t=t, max_sdr=t - best, deficiency=best, witness_violator=witness
     )
-
-
-def extend_matching(h: KPartiteHypergraph, m: Matching) -> Matching:
-    """Extend a prefix perfect matching into a matching of the full hypergraph.
-
-    Each matched (element, vertex) pair becomes the hyperedge element + vertex;
-    the result always has exactly t - deficiency edges.
-    """
-    return _analyze(h, m).extension
 
 
 @dataclass(frozen=True)
@@ -416,7 +393,7 @@ def prefix_hall_verdict(h: KPartiteHypergraph, *, limit: int = 2) -> HallVerdict
         unique = len(matchings) == 1
     else:
         unique = False if len(matchings) >= 2 else None
-    analyses = [_analyze(h, m) for m in matchings]
+    analyses = [analyze_matching(h, m) for m in matchings]
 
     satisfied = [a for a in analyses if a.hall.satisfied]
     best_extension = max(analyses, key=lambda a: len(a.extension)).extension

@@ -13,27 +13,27 @@ import pytest
 
 from kphall import (
     GeneratorParams,
-    MATCHING_EXISTS,
-    SdrInstance,
-    SubmaximalEdge,
     alpha_prime,
     analyze_instance,
+    analyze_matching,
     beta,
     duality_report,
     enumerate_perfect_matchings,
-    extend_matching,
     fixture,
     gen_planted_unique,
     gen_random,
-    hall_deficiency,
-    hall_subset_oracle,
-    max_bipartite_matching,
     neighborhood,
-    neighborhood_of_set,
     prefix_hall_verdict,
     serialize_instance,
 )
 from kphall.generate import derive_seed, randbelow, unit_float
+from kphall.hypergraph import neighborhood_of_set
+from kphall.matching import (
+    MATCHING_EXISTS,
+    SdrInstance,
+    hall_subset_oracle,
+    max_bipartite_matching,
+)
 
 SEED = 2024
 
@@ -152,7 +152,7 @@ def test_criterion_3_unique_prefix_criterion_equivalence(planted_corpus):
     failures = 0
     for h in corpus:
         (m,) = enumerate_perfect_matchings(h, limit=2)
-        deficiency = hall_deficiency(h, m).deficiency
+        deficiency = analyze_matching(h, m).hall.deficiency
         a, _ = alpha_prime(h, force=True)
         if (deficiency == 0) != (a >= h.t):
             failures += 1
@@ -171,8 +171,9 @@ def test_criterion_4_extension_size_law(planted_corpus):
     failures = 0
     for h in corpus:
         (m,) = enumerate_perfect_matchings(h, limit=2)
-        deficiency = hall_deficiency(h, m).deficiency
-        ext = extend_matching(h, m)
+        analysis = analyze_matching(h, m)
+        deficiency = analysis.hall.deficiency
+        ext = analysis.extension
         valid = len(ext) == h.t - deficiency
         covered = set()
         traces = set(m.edges)
@@ -241,7 +242,7 @@ def test_criterion_6_deficiency_oracle_equivalence():
             s,
         )
         (m,) = enumerate_perfect_matchings(h, limit=2)
-        fast = hall_deficiency(h, m)
+        fast = analyze_matching(h, m).hall
         slow = hall_subset_oracle(h, m)
         valid = (fast.deficiency, fast.max_sdr) == (slow.deficiency, slow.max_sdr)
         for rep in (fast, slow):
@@ -268,10 +269,9 @@ def test_criterion_7_bipartite_reduction():
     for i in range(trials):
         h = make_random(SEED + 1, i, k=2, size_max=6)
         verdict = prefix_hall_verdict(h)
-        left = tuple(SubmaximalEdge((v,)) for v in h.parts[0])
+        left = tuple((v,) for v in h.parts[0])
         inst = SdrInstance(
             left=left,
-            right=h.parts[1],
             adjacency=tuple(neighborhood(h, sub) for sub in left),
         )
         saturated = len(max_bipartite_matching(inst)) == h.t

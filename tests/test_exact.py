@@ -3,7 +3,6 @@
 import pytest
 
 from kphall import (
-    TooLargeError,
     alpha_prime,
     analyze_instance,
     beta,
@@ -12,6 +11,7 @@ from kphall import (
     gen_random,
     GeneratorParams,
 )
+from kphall.errors import TooLargeError
 from conftest import labels
 
 

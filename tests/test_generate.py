@@ -10,10 +10,10 @@ from kphall import (
     enumerate_perfect_matchings,
     gen_planted_unique,
     gen_random,
-    prefix_traces,
     serialize_instance,
 )
 from kphall.generate import derive_seed, randbelow, unit_float
+from kphall.hypergraph import prefix_traces
 
 
 class TestRandom:
@@ -96,7 +96,7 @@ class TestPlantedUnique:
 
     def test_retry_exhaustion_raises(self, monkeypatch):
         import kphall.generate as generate_module
-        from kphall import RetryExhaustedError
+        from kphall.errors import RetryExhaustedError
 
         monkeypatch.setattr(
             generate_module, "enumerate_perfect_matchings", lambda h, limit: []

@@ -1,20 +1,19 @@
 """File format: parsing, schema validation, canonical serialization, fixtures."""
 
 import json
+import subprocess
+import sys
 
 import pytest
 
-from kphall import (
-    FIXTURE_NAMES,
+from kphall import build_hypergraph, fixture, parse_instance, serialize_instance
+from kphall.errors import (
     DuplicateLabelError,
     ParseError,
     SchemaError,
     UnknownFixtureError,
-    build_hypergraph,
-    fixture,
-    parse_instance,
-    serialize_instance,
 )
+from kphall.instance_io import FIXTURE_NAMES
 
 GOOD = {
     "format_version": "1",
@@ -110,6 +109,39 @@ class TestSerialize:
         out = serialize_instance(parse_instance(text))
         assert json.loads(out)["metadata"] == {"a": [1, 2], "z": 1}
         assert list(json.loads(out)["metadata"]) == ["a", "z"]
+
+    @pytest.mark.parametrize("depth", [900, 990])
+    def test_deeply_nested_metadata_round_trip(self, depth):
+        # A fresh interpreter starts with a shallow stack, as the CLI does;
+        # under pytest json.loads alone would refuse this depth.
+        nested = "[" * depth + '{"b": 1, "a": 2}' + "]" * depth
+        text = doc()[:-1] + ', "metadata": {"x": ' + nested + "}}"
+        script = (
+            "import sys\n"
+            "from kphall import parse_instance, serialize_instance\n"
+            "out = serialize_instance(parse_instance(sys.stdin.read()))\n"
+            "assert serialize_instance(parse_instance(out)) == out\n"
+            "inner = parse_instance(out).metadata['x']\n"
+            "for _ in range(int(sys.argv[1])):\n"
+            "    (inner,) = inner\n"
+            "print(list(inner))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(depth)],
+            input=text,
+            capture_output=True,
+            text=True,
+            check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "['a', 'b']\n"
+
+    def test_self_containing_metadata_is_rejected(self):
+        loop = []
+        loop.append(loop)
+        h = parse_instance(doc())
+        with pytest.raises(ValueError, match="Circular reference"):
+            serialize_instance(h, metadata={"loop": loop})
 
     def test_empty_edge_list_serializes(self):
         h = build_hypergraph([["a"], ["b"]], [], strict=False)

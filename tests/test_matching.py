@@ -3,29 +3,32 @@
 import pytest
 
 from kphall import (
-    INCONCLUSIVE,
-    MATCHING_EXISTS,
     Matching,
-    NO_MATCHING,
-    NotPerfectPrefixMatchingError,
-    SdrInstance,
-    SubmaximalEdge,
-    TooLargeError,
+    analyze_matching,
     build_hypergraph,
     enumerate_perfect_matchings,
-    extend_matching,
-    hall_deficiency,
+    prefix_hall_verdict,
+)
+from kphall.errors import NotPerfectPrefixMatchingError, TooLargeError
+from kphall.hypergraph import neighborhood_of_set
+from kphall.matching import (
+    INCONCLUSIVE,
+    MATCHING_EXISTS,
+    NO_MATCHING,
+    SdrInstance,
     hall_subset_oracle,
     max_bipartite_matching,
-    neighborhood_of_set,
-    prefix_hall_verdict,
     sdr_instance,
 )
 from conftest import labels
 
 
+def vertex_tuple(h, names):
+    return tuple(sorted(h.vertex(x) for x in names))
+
+
 def prefix_matching(h, *edges):
-    return Matching.of([h.edge_by_labels(e) for e in edges])
+    return Matching.of([vertex_tuple(h, e) for e in edges])
 
 
 class TestEnumeratePerfectMatchings:
@@ -57,10 +60,9 @@ class TestEnumeratePerfectMatchings:
 
 class TestMaxBipartiteMatching:
     def _inst(self, h, adjacency):
-        left = tuple(SubmaximalEdge(h.edge_by_labels(e)) for e in adjacency)
+        left = tuple(vertex_tuple(h, e) for e in adjacency)
         return SdrInstance(
             left=left,
-            right=h.last_part(),
             adjacency=tuple(
                 tuple(h.vertex(x) for x in vs) for vs in adjacency.values()
             ),
@@ -78,7 +80,7 @@ class TestMaxBipartiteMatching:
         assert [(i, v.label) for i, v in pairs] == [(0, "z1"), (1, "z2")]
 
     def test_empty_left(self, gap):
-        inst = SdrInstance(left=(), right=gap.last_part(), adjacency=())
+        inst = SdrInstance(left=(), adjacency=())
         assert max_bipartite_matching(inst) == ()
 
     def test_deterministic(self, gap):
@@ -90,9 +92,9 @@ class TestMaxBipartiteMatching:
 class TestHallDeficiency:
     def test_violating_prefix_matching(self, nonunique):
         m = prefix_matching(nonunique, ("x1", "y2"), ("x2", "y1"))
-        r = hall_deficiency(nonunique, m)
+        r = analyze_matching(nonunique, m).hall
         assert (r.t, r.max_sdr, r.deficiency) == (2, 1, 1)
-        assert labels(s.vertices for s in r.witness_violator) == [
+        assert labels(r.witness_violator) == [
             ["x1", "y2"],
             ["x2", "y1"],
         ]
@@ -101,15 +103,15 @@ class TestHallDeficiency:
 
     def test_satisfying_prefix_matching(self, nonunique):
         m = prefix_matching(nonunique, ("x1", "y1"), ("x2", "y2"))
-        r = hall_deficiency(nonunique, m)
+        r = analyze_matching(nonunique, m).hall
         assert r.deficiency == 0
         assert r.witness_violator is None
 
     def test_gap_matching(self, gap):
         m = prefix_matching(gap, ("1", "3"), ("2", "4"))
-        r = hall_deficiency(gap, m)
+        r = analyze_matching(gap, m).hall
         assert r.deficiency == 1
-        assert labels(s.vertices for s in r.witness_violator) == [
+        assert labels(r.witness_violator) == [
             ["1", "3"],
             ["2", "4"],
         ]
@@ -117,12 +119,12 @@ class TestHallDeficiency:
     def test_rejects_non_trace(self, gap):
         m = prefix_matching(gap, ("1", "4"), ("2", "3"))
         with pytest.raises(NotPerfectPrefixMatchingError):
-            hall_deficiency(gap, m)
+            analyze_matching(gap, m)
 
     def test_rejects_partial_cover(self, nonunique):
         m = prefix_matching(nonunique, ("x1", "y1"))
         with pytest.raises(NotPerfectPrefixMatchingError):
-            hall_deficiency(nonunique, m)
+            analyze_matching(nonunique, m)
 
 
 class TestHallSubsetOracle:
@@ -134,7 +136,7 @@ class TestHallSubsetOracle:
         ]
         for h, edges in cases:
             m = prefix_matching(h, *edges)
-            fast = hall_deficiency(h, m)
+            fast = analyze_matching(h, m).hall
             slow = hall_subset_oracle(h, m)
             assert (fast.deficiency, fast.max_sdr) == (slow.deficiency, slow.max_sdr)
 
@@ -152,7 +154,7 @@ class TestHallSubsetOracle:
         ]
         edges = [[f"a{i:02d}", f"b{i:02d}"] for i in range(t)]
         h = build_hypergraph(parts, edges)
-        m = Matching.of([h.edge_by_labels([f"a{i:02d}"]) for i in range(t)])
+        m = Matching.of([vertex_tuple(h, [f"a{i:02d}"]) for i in range(t)])
         with pytest.raises(TooLargeError):
             hall_subset_oracle(h, m)
 
@@ -160,25 +162,25 @@ class TestHallSubsetOracle:
 class TestExtendMatching:
     def test_full_extension(self, nonunique):
         m = prefix_matching(nonunique, ("x1", "y1"), ("x2", "y2"))
-        ext = extend_matching(nonunique, m)
+        ext = analyze_matching(nonunique, m).extension
         assert labels(ext.edges) == [["x1", "y1", "z1"], ["x2", "y2", "z2"]]
 
     def test_deficient_extension(self, nonunique):
         m = prefix_matching(nonunique, ("x1", "y2"), ("x2", "y1"))
-        ext = extend_matching(nonunique, m)
+        ext = analyze_matching(nonunique, m).extension
         assert len(ext) == 1
 
     def test_gap_extension(self, gap):
         m = prefix_matching(gap, ("1", "3"), ("2", "4"))
-        ext = extend_matching(gap, m)
+        ext = analyze_matching(gap, m).extension
         assert labels(ext.edges) == [["1", "3", "5"]]
 
     def test_size_law_on_fixtures(self, nonunique, gap, k2_fail, single_edge):
         for h in (nonunique, gap, k2_fail, single_edge):
             ms = enumerate_perfect_matchings(h, limit=4)
             for m in ms:
-                r = hall_deficiency(h, m)
-                assert len(extend_matching(h, m)) == r.t - r.deficiency
+                a = analyze_matching(h, m)
+                assert len(a.extension) == a.hall.t - a.hall.deficiency
 
 
 class TestPrefixHallVerdict:
@@ -219,7 +221,7 @@ class TestPrefixHallVerdict:
         from kphall import alpha_prime
 
         m = prefix_matching(nonunique, ("x1", "y2"), ("x2", "y1"))
-        assert hall_deficiency(nonunique, m).deficiency > 0
+        assert analyze_matching(nonunique, m).hall.deficiency > 0
         assert alpha_prime(nonunique)[0] == nonunique.t
 
     def test_not_applicable_unequal_prefix_sizes(self):

@@ -6,31 +6,31 @@ act as the independent reference wherever the library has a clever route.
 
 import itertools
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from kphall import (
     GeneratorParams,
-    MATCHING_EXISTS,
     Matching,
-    NO_MATCHING,
-    NotPerfectPrefixMatchingError,
-    SdrInstance,
-    SubmaximalEdge,
     alpha_prime,
+    analyze_matching,
     build_hypergraph,
     duality_report,
     enumerate_perfect_matchings,
-    extend_matching,
     gen_planted_unique,
-    hall_deficiency,
+    neighborhood,
+    prefix_hall_verdict,
+    serialize_instance,
+)
+from kphall.errors import NotPerfectPrefixMatchingError
+from kphall.hypergraph import neighborhood_of_set, submaximal_edges
+from kphall.matching import (
+    MATCHING_EXISTS,
+    NO_MATCHING,
+    SdrInstance,
     hall_subset_oracle,
     max_bipartite_matching,
-    neighborhood,
-    neighborhood_of_set,
-    prefix_hall_verdict,
     sdr_instance,
-    serialize_instance,
-    submaximal_edges,
 )
 
 
@@ -103,7 +103,7 @@ def test_build_is_deterministic(h):
 
 
 def brute_deficiency(h, m):
-    subs = [SubmaximalEdge(e) for e in m.edges]
+    subs = list(m.edges)
     worst = 0
     for r in range(len(subs) + 1):
         for combo in itertools.combinations(subs, r):
@@ -115,7 +115,7 @@ def brute_deficiency(h, m):
 @given(planted_instances(max_k=4, max_t=4))
 def test_deficiency_routes_agree(h):
     (m,) = enumerate_perfect_matchings(h, limit=2)
-    fast = hall_deficiency(h, m)
+    fast = analyze_matching(h, m).hall
     slow = hall_subset_oracle(h, m)
     assert fast.deficiency == slow.deficiency == brute_deficiency(h, m)
     assert fast.max_sdr == slow.max_sdr
@@ -132,8 +132,8 @@ def test_deficiency_routes_agree(h):
 @given(planted_instances(max_k=4, max_t=4))
 def test_extension_size_law(h):
     (m,) = enumerate_perfect_matchings(h, limit=2)
-    report = hall_deficiency(h, m)
-    ext = extend_matching(h, m)
+    analysis = analyze_matching(h, m)
+    report, ext = analysis.hall, analysis.extension
     assert len(ext) == report.t - report.deficiency
     prefix_traces = set(m.edges)
     for e in ext:
@@ -145,7 +145,7 @@ def test_extension_size_law(h):
 @given(planted_instances(max_k=4, max_t=4))
 def test_unique_prefix_criterion_is_exact(h):
     (m,) = enumerate_perfect_matchings(h, limit=2)
-    deficiency = hall_deficiency(h, m).deficiency
+    deficiency = analyze_matching(h, m).hall.deficiency
     a, _ = alpha_prime(h, force=True)
     assert (deficiency == 0) == (a >= h.t)
 
@@ -184,10 +184,9 @@ def test_weak_duality_and_konig_equivalence(h):
 def test_bipartite_konig_and_hall_reduction(h):
     r = duality_report(h, force=True)
     assert r.alpha_prime == r.beta
-    left = tuple(SubmaximalEdge((v,)) for v in h.parts[0])
+    left = tuple((v,) for v in h.parts[0])
     inst = SdrInstance(
         left=left,
-        right=h.parts[1],
         adjacency=tuple(neighborhood(h, s) for s in left),
     )
     saturated = len(max_bipartite_matching(inst)) == h.t
@@ -225,14 +224,14 @@ def _scan_neighborhood(h, vs):
 def test_neighborhood_matches_edge_scan(h):
     subs = submaximal_edges(h)
     for sub in subs:
-        assert neighborhood(h, sub) == _scan_neighborhood(h, sub.vertices)
+        assert neighborhood(h, sub) == _scan_neighborhood(h, sub)
     # every (k-1)-set with one vertex in each of k-1 distinct parts, most of
     # them not submaximal edges, given in reverse order
     for chosen_parts in itertools.combinations(h.parts, h.k - 1):
         for vs in itertools.product(*chosen_parts):
             expected = _scan_neighborhood(h, vs)
             assert neighborhood(h, vs[::-1]) == expected
-            assert (SubmaximalEdge(vs) in subs) == bool(expected)
+            assert (tuple(sorted(vs)) in subs) == bool(expected)
 
 
 @settings(max_examples=80, deadline=None)
@@ -240,8 +239,7 @@ def test_neighborhood_matches_edge_scan(h):
 def test_verdict_analyses_equal_the_public_views(h):
     verdict = prefix_hall_verdict(h, limit=3)
     for a in verdict.per_matching:
-        assert a.hall == hall_deficiency(h, a.prefix_matching)
-        assert a.extension == extend_matching(h, a.prefix_matching)
+        assert a == analyze_matching(h, a.prefix_matching)
 
 
 def _enumeration_reference(h, limit):
@@ -292,10 +290,9 @@ def _kuhn_reference(inst):
 @settings(max_examples=100, deadline=None)
 @given(instances(min_k=2, max_k=2, max_part=5, max_edges=20))
 def test_kuhn_matches_recursive_reference(h):
-    left = tuple(SubmaximalEdge((v,)) for v in h.parts[0])
+    left = tuple((v,) for v in h.parts[0])
     inst = SdrInstance(
         left=left,
-        right=h.parts[1],
         adjacency=tuple(neighborhood(h, s) for s in left),
     )
     assert max_bipartite_matching(inst) == _kuhn_reference(inst)
@@ -357,3 +354,58 @@ def test_prefix_matching_check_matches_reference(h, data):
         except NotPerfectPrefixMatchingError:
             accepted = False
         assert accepted == _accepts_prefix_matching(h, edges), edges
+
+
+@st.composite
+def wide_instances(draw, min_t=21, max_t=40):
+    """k = 2 or 3 with a diagonal prefix matching, past the subset oracle's limit.
+
+    Traces draw 1-3 last-part vertices from a pool of random size, so they
+    compete and deficiencies come up; on some draws diagonal trace j also
+    gets vertex j, which can make the deficiency 0.  For k = 3, swapped
+    pairs (i, i+1), (i+1, i) give further prefix matchings, and a few random
+    traces add dead ends; there are few enough to keep enumeration small.
+    """
+    k = draw(st.integers(2, 3))
+    t = draw(st.integers(min_t, max_t))
+    last = draw(st.integers(t - 3, t + 2))
+    pool = draw(st.integers(1, last))
+    planted = draw(st.booleans())
+    traces = [(j,) * (k - 1) for j in range(t)]
+    if k == 3:
+        for i in draw(st.lists(st.integers(0, t - 2), max_size=3)):
+            traces += [(i, i + 1), (i + 1, i)]
+        index = st.integers(0, t - 1)
+        traces += draw(st.lists(st.tuples(index, index), max_size=4))
+    parts = [[f"p{i}v{j:02d}" for j in range(t)] for i in range(k - 1)]
+    parts.append([f"z{j:02d}" for j in range(last)])
+    edges = []
+    for n, trace in enumerate(traces):
+        ends = draw(st.lists(st.integers(0, pool - 1), min_size=1, max_size=3))
+        if planted and n < min(t, last):
+            ends.append(n)
+        for z in ends:
+            edges.append([parts[i][j] for i, j in enumerate(trace)] + [parts[-1][z]])
+    return build_hypergraph(parts, edges, strict=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_instances())
+def test_sdr_size_matches_networkx_hopcroft_karp(h):
+    nx = pytest.importorskip("networkx")
+    matchings = enumerate_perfect_matchings(h, limit=2)
+    assert matchings
+    for m in matchings:
+        inst = sdr_instance(h, m)
+        graph = nx.Graph()
+        left = [("element", i) for i in range(len(inst.left))]
+        graph.add_nodes_from(left)
+        graph.add_edges_from(
+            (node, v) for node, adj in zip(left, inst.adjacency) for v in adj
+        )
+        pairs = nx.algorithms.bipartite.hopcroft_karp_matching(graph, top_nodes=left)
+        analysis = analyze_matching(h, m)
+        report = analysis.hall
+        assert report.t == h.t > 20
+        assert report.t - report.deficiency == len(pairs) // 2
+        assert len(analysis.extension) == len(pairs) // 2
