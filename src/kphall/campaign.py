@@ -106,7 +106,7 @@ def _check_defect_extension(h: KPartiteHypergraph) -> str | None:
         if seen & set(e):
             return "extension edges overlap"
         seen.update(e)
-        trace = tuple(v for v in e if v.part < h.k - 1)
+        trace = tuple([v for v in e if v.part < h.k - 1])
         if trace not in prefix_traces:
             return f"extension edge {[v.label for v in e]} does not extend the matching"
     return None
@@ -166,9 +166,9 @@ def _check_k2_reduction(h: KPartiteHypergraph) -> str | None:
     if h.k != 2:
         return f"expected a bipartite instance, got k={h.k}"
     verdict = prefix_hall_verdict(h)
-    left = tuple((v,) for v in h.parts[0])
+    left = tuple([(v,) for v in h.parts[0]])
     inst = SdrInstance(
-        left=left, adjacency=tuple(neighborhood(h, s) for s in left)
+        left=left, adjacency=tuple([neighborhood(h, s) for s in left])
     )
     saturated = len(max_bipartite_matching(inst)) == h.t
     claims_exists = verdict.applicable and verdict.conclusion == MATCHING_EXISTS

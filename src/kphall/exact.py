@@ -140,7 +140,10 @@ def _min_cover(h: KPartiteHypergraph, lower: int) -> tuple[int, tuple[Vertex, ..
             if done:
                 return
 
-    walk(set())
+    # No cover is smaller than a matching, so a first part already of size
+    # ``lower`` is optimal, and the walk could only ever tie it.
+    if len(best) > lower:
+        walk(set())
     return len(best), tuple(best)
 
 

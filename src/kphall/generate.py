@@ -22,6 +22,7 @@ import itertools
 import struct
 from dataclasses import dataclass
 from string import ascii_lowercase
+from typing import Callable
 
 from .errors import RetryExhaustedError
 from .hypergraph import KPartiteHypergraph, build_hypergraph
@@ -40,7 +41,7 @@ _MASK64 = (1 << 64) - 1
 _PLANTED_RETRIES = 100
 
 
-def _digest(seed: int, *path: int | str) -> bytes:
+def _hasher(seed: int, *path: int | str):
     hasher = hashlib.sha256()
     hasher.update(struct.pack(">Q", seed & _MASK64))
     for item in path:
@@ -52,7 +53,23 @@ def _digest(seed: int, *path: int | str) -> bytes:
         else:
             hasher.update(b"i")
             hasher.update(struct.pack(">q", item))
-    return hasher.digest()
+    return hasher
+
+
+def _digest(seed: int, *path: int | str) -> bytes:
+    return _hasher(seed, *path).digest()
+
+
+def _draws(seed: int, *path: int | str) -> Callable[[int], float]:
+    """``i -> unit_float(seed, *path, i)``, hashing the shared prefix once."""
+    prefix = _hasher(seed, *path)
+
+    def draw(i: int) -> float:
+        hasher = prefix.copy()
+        hasher.update(b"i" + struct.pack(">q", i))
+        return int.from_bytes(hasher.digest()[:8], "big") / float(1 << 64)
+
+    return draw
 
 
 def unit_float(seed: int, *path: int | str) -> float:
@@ -117,8 +134,9 @@ def gen_random(params: GeneratorParams, seed: int) -> KPartiteHypergraph:
     labels = _part_labels(params.k, params.part_sizes)
     edges = []
     ranges = [range(s) for s in params.part_sizes]
+    edge_draw = _draws(seed, "edge")
     for rank, combo in enumerate(itertools.product(*ranges)):
-        if unit_float(seed, "edge", rank) < p:
+        if edge_draw(rank) < p:
             edges.append([labels[i][j] for i, j in enumerate(combo)])
     metadata = {
         "generator": {
@@ -173,19 +191,18 @@ def gen_planted_unique(params: GeneratorParams, seed: int) -> KPartiteHypergraph
 
     for attempt in range(_PLANTED_RETRIES):
         traces = []
+        trace_draw = _draws(seed, "trace", attempt)
         for rank, tup in enumerate(candidates):
             diagonal = all(c == tup[0] for c in tup)
-            if diagonal or unit_float(seed, "trace", attempt, rank) < density:
+            if diagonal or trace_draw(rank) < density:
                 traces.append(tup)
 
         edges = []
         max_attach = min(attachments, last_size)
         for rank, tup in enumerate(traces):
             count = 1 + randbelow(seed, max_attach, "nattach", attempt, rank)
-            scored = sorted(
-                range(last_size),
-                key=lambda j: (unit_float(seed, "attach", attempt, rank, j), j),
-            )
+            attach_draw = _draws(seed, "attach", attempt, rank)
+            scored = sorted(range(last_size), key=lambda j: (attach_draw(j), j))
             for j in scored[:count]:
                 edges.append(
                     [labels[i][c] for i, c in enumerate(tup)] + [labels[-1][j]]

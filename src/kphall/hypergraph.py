@@ -78,7 +78,7 @@ class KPartiteHypergraph:
 
     @property
     def part_sizes(self) -> tuple[int, ...]:
-        return tuple(len(p) for p in self.parts)
+        return tuple([len(p) for p in self.parts])
 
     @property
     def t(self) -> int:
@@ -118,7 +118,7 @@ class KPartiteHypergraph:
 
 
 def _canonical_edge_key(edge: Edge) -> tuple[int, ...]:
-    return tuple(v.index for v in edge)
+    return tuple([v.index for v in edge])
 
 
 def build_hypergraph(
@@ -152,7 +152,7 @@ def build_hypergraph(
             if lab in seen:
                 raise DuplicateLabelError(f"label {lab!r} declared twice")
             seen.add(lab)
-        vs = tuple(Vertex(i, j, lab) for j, lab in enumerate(labels))
+        vs = tuple([Vertex(i, j, lab) for j, lab in enumerate(labels)])
         vertex_parts.append(vs)
         by_label.update((v.label, v) for v in vs)
 

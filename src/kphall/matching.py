@@ -2,13 +2,17 @@
 
 The pipeline mirrors how the analysis runs: enumerate perfect matchings of
 the prefix subhypergraph, whose traces (each edge minus its last-part
-vertex) are read straight off the edge list, and turn each into an SDR
-instance (element -> candidate last-part vertices).  Each element is a
-plain vertex tuple, read with its candidates straight off the instance's
-cached completions index.  One augmenting-path run on that instance,
-`analyze_matching`, gives everything the analysis reports about the
-matching: its Hall deficiency, a violator set when the deficiency is
-positive, and its extension to a matching of the full hypergraph.
+vertex) are read straight off the edge list, in canonical order.  The
+enumeration is an exact-cover search over integer vertex ids private to
+the call; it forward-checks each take against per-vertex counts of live
+traces, which prunes dead branches without reordering the search.  Each
+matching is then turned into an SDR instance (element -> candidate
+last-part vertices).  Each element is a plain vertex tuple, read with its
+candidates straight off the instance's cached completions index.  One
+augmenting-path run on that instance, `analyze_matching`, gives everything
+the analysis reports about the matching: its Hall deficiency, a violator
+set when the deficiency is positive, and its extension to a matching of
+the full hypergraph.
 
 Two independent routes compute the deficiency: the augmenting-path engine
 and an exhaustive subset check (`hall_subset_oracle`).  They must always
@@ -117,43 +121,92 @@ def enumerate_perfect_matchings(
     Backtracks over the vertices of the first part in canonical order,
     trying traces in canonical order, so the output order is deterministic.
     Unequal prefix part sizes mean no perfect matching can exist: empty list.
+
+    The search forward-checks like Knuth's Algorithm X without its
+    reordering: every prefix vertex keeps a count of the traces still
+    disjoint from the ones taken, and a take that leaves some uncovered
+    vertex with no such trace is undone at once.  That only cuts subtrees
+    holding no perfect matching, so the order is the plain walk's.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
     parts = h.prefix_parts()
-    if len({len(p) for p in parts}) > 1:
+    t = len(parts[0])
+    if any(len(p) != t for p in parts):
         return []
 
-    by_anchor: dict[Vertex, list[Edge]] = {v: [] for v in parts[0]}
-    for tr in prefix_traces(h):
-        by_anchor[tr[0]].append(tr)
+    # Integer ids, part by part, so a first-part vertex's id is its index.
+    traces = prefix_traces(h)
+    members = [tuple([v.part * t + v.index for v in tr]) for tr in traces]
+    by_anchor: list[list[int]] = [[] for _ in range(t)]
+    through: list[list[int]] = [[] for _ in range(t * len(parts))]
+    for s, ids in enumerate(members):
+        by_anchor[ids[0]].append(s)
+        for u in ids:
+            through[u].append(s)
+    live = [len(ss) for ss in through]
+    # A vertex in no trace never drops to zero, so the prune cannot see it.
+    if 0 in live:
+        return []
+    alive = [True] * len(members)
+
+    def restore(gone: list[int]) -> None:
+        for r in gone:
+            alive[r] = True
+            for w in members[r]:
+                live[w] += 1
+
+    def take(s: int) -> list[int] | None:
+        # Kill every live trace meeting trace s (s included); None, with
+        # nothing changed, if that starves an uncovered vertex.
+        mine = members[s]
+        gone: list[int] = []
+        for u in mine:
+            for r in through[u]:
+                if not alive[r]:
+                    continue
+                alive[r] = False
+                gone.append(r)
+                starved = False
+                for w in members[r]:
+                    live[w] -= 1
+                    if not live[w] and w not in mine:
+                        starved = True
+                if starved:
+                    restore(gone)
+                    return None
+        return gone
 
     found: list[Matching] = []
-    used: set[Vertex] = set()
-    chosen: list[Edge] = []
+    chosen: list[int] = []
+    killed: list[list[int]] = []
     # Depth-first over the first part with an explicit stack, so large t
     # cannot exhaust the recursion limit: one trace iterator per depth, and
-    # chosen[i] is the trace taken at depth i.
-    options = list(by_anchor.values())
-    stack = [iter(options[0])]
+    # chosen[i] is the trace taken at depth i, killed[i] what it killed.
+    stack = [iter(by_anchor[0])]
     while stack:
-        for tr in stack[-1]:
-            if used.isdisjoint(tr):
-                break
+        for s in stack[-1]:
+            if alive[s]:
+                gone = take(s)
+                if gone is not None:
+                    break
         else:
             stack.pop()
             if chosen:
-                used.difference_update(chosen.pop())
+                chosen.pop()
+                restore(killed.pop())
             continue
-        used.update(tr)
-        chosen.append(tr)
-        if len(chosen) < len(options):
-            stack.append(iter(options[len(chosen)]))
+        chosen.append(s)
+        killed.append(gone)
+        if len(chosen) < t:
+            stack.append(iter(by_anchor[len(chosen)]))
             continue
-        found.append(Matching.of(chosen))
+        # Taken in first-part order and pairwise disjoint: already canonical.
+        found.append(Matching(tuple([traces[c] for c in chosen])))
         if len(found) >= limit:
             break
-        used.difference_update(chosen.pop())
+        chosen.pop()
+        restore(killed.pop())
     return found
 
 
@@ -163,7 +216,7 @@ def _check_prefix_matching(h: KPartiteHypergraph, m: Matching) -> None:
     trace_parts = tuple(range(h.k - 1))
     covered: set[Vertex] = set()
     for e in m.edges:
-        if tuple(v.part for v in e) != trace_parts or e not in h._completions:
+        if tuple([v.part for v in e]) != trace_parts or e not in h._completions:
             raise NotPerfectPrefixMatchingError(
                 f"{{{','.join(v.label for v in e)}}} is not a prefix trace"
             )
@@ -182,7 +235,7 @@ def sdr_instance(h: KPartiteHypergraph, m: Matching) -> SdrInstance:
     """SDR instance of a prefix perfect matching: elements vs last-part vertices."""
     _check_prefix_matching(h, m)
     return SdrInstance(
-        left=m.edges, adjacency=tuple(h._completions[e] for e in m.edges)
+        left=m.edges, adjacency=tuple([h._completions[e] for e in m.edges])
     )
 
 
@@ -225,7 +278,7 @@ def _kuhn(inst: SdrInstance) -> tuple[list[Vertex | None], dict[Vertex, int]]:
 def max_bipartite_matching(inst: SdrInstance) -> tuple[tuple[int, Vertex], ...]:
     """Maximum set of (left index, vertex) pairs with all indices and vertices distinct."""
     match_left, _ = _kuhn(inst)
-    return tuple((i, v) for i, v in enumerate(match_left) if v is not None)
+    return tuple([(i, v) for i, v in enumerate(match_left) if v is not None])
 
 
 def _violator_cut(
@@ -248,7 +301,7 @@ def _violator_cut(
             if j is not None and j not in reach_left:
                 reach_left.add(j)
                 queue.append(j)
-    return tuple(inst.left[i] for i in sorted(reach_left))
+    return tuple([inst.left[i] for i in sorted(reach_left)])
 
 
 def analyze_matching(h: KPartiteHypergraph, m: Matching) -> MatchingAnalysis:
@@ -308,7 +361,7 @@ def hall_subset_oracle(h: KPartiteHypergraph, m: Matching) -> HallReport:
             best_mask = mask
     witness = None
     if best > 0:
-        witness = tuple(inst.left[i] for i in range(t) if best_mask >> i & 1)
+        witness = tuple([inst.left[i] for i in range(t) if best_mask >> i & 1])
     return HallReport(
         t=t, max_sdr=t - best, deficiency=best, witness_violator=witness
     )

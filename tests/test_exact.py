@@ -8,6 +8,7 @@ from kphall import (
     beta,
     build_hypergraph,
     duality_report,
+    fixture,
     gen_random,
     GeneratorParams,
 )
@@ -67,6 +68,31 @@ class TestBeta:
     def test_empty_edge_list(self):
         h = build_hypergraph([["a"], ["b"]], [], strict=False)
         assert beta(h) == (0, ())
+
+
+class TestCoverEarlyExit:
+    def test_disjoint_edges_stop_at_the_first_part(self):
+        # alpha' = 24 meets the seeded first-part cover, so no walk over
+        # the 2^24 covers is needed to prove it optimal.
+        parts = [[f"a{i:02d}" for i in range(24)], [f"b{i:02d}" for i in range(24)]]
+        h = build_hypergraph(parts, list(zip(*parts)))
+        value, witness = beta(h, force=True)
+        assert value == 24
+        assert witness == h.parts[0]
+
+    @pytest.mark.parametrize(
+        "name, expected",
+        [
+            ("nonunique_prefix", ["x1", "x2"]),
+            ("duality_gap", ["1", "2"]),
+            ("k2_hall_fail", ["c"]),
+            ("k3_single_edge", ["a"]),
+        ],
+    )
+    def test_fixture_witnesses_unchanged(self, name, expected):
+        value, witness = beta(fixture(name))
+        assert value == len(expected)
+        assert [v.label for v in witness] == expected
 
 
 class TestDualityReport:

@@ -10,9 +10,10 @@ from kphall import (
     enumerate_perfect_matchings,
     gen_planted_unique,
     gen_random,
+    prefix_hall_verdict,
     serialize_instance,
 )
-from kphall.generate import derive_seed, randbelow, unit_float
+from kphall.generate import _draws, derive_seed, randbelow, unit_float
 from kphall.hypergraph import prefix_traces
 
 
@@ -76,6 +77,14 @@ class TestPlantedUnique:
         h = gen_planted_unique(params, seed)
         assert len(enumerate_perfect_matchings(h, 2)) == 1
         assert h.metadata["generator"]["attempt"] == 0
+
+    @pytest.mark.parametrize("k, t", [(3, 40), (4, 15)])
+    def test_uniqueness_proven_at_large_t(self, k, t):
+        # A plain walk over the staircase backtracks exponentially here.
+        params = GeneratorParams(k=k, part_sizes=(t,) * k, trace_density=0.4)
+        h = gen_planted_unique(params, 1)
+        assert len(enumerate_perfect_matchings(h, 2)) == 1
+        assert prefix_hall_verdict(h).unique is True
 
     def test_determinism(self):
         params = GeneratorParams(k=3, part_sizes=(4, 4, 2), trace_density=0.6)
@@ -145,3 +154,9 @@ class TestStream:
     def test_derive_seed_is_stable(self):
         assert derive_seed(5, "laps", 3) == derive_seed(5, "laps", 3)
         assert derive_seed(5, "laps", 3) != derive_seed(5, "laps", 4)
+
+    def test_draws_match_unit_float(self):
+        for path in [("edge",), ("trace", 3), ("attach", 0, 17)]:
+            draw = _draws(2**64 + 9, *path)
+            for i in [0, 1, 5, 2**40, -3]:
+                assert draw(i) == unit_float(2**64 + 9, *path, i)

@@ -57,6 +57,26 @@ class TestEnumeratePerfectMatchings:
         )
         assert enumerate_perfect_matchings(h, limit=2) == []
 
+    def test_later_matching_reuses_the_last_trace(self):
+        # both matchings end in {x3,y3}; the second is found only if taking
+        # it the first time is fully undone
+        parts = [["x1", "x2", "x3"], ["y1", "y2", "y3"], ["z"]]
+        pairs = [("x1", "y1"), ("x1", "y2"), ("x2", "y1"), ("x2", "y2"), ("x3", "y3")]
+        h = build_hypergraph(parts, [[x, y, "z"] for x, y in pairs])
+        ms = enumerate_perfect_matchings(h, limit=3)
+        assert [labels(m.edges) for m in ms] == [
+            [["x1", "y1"], ["x2", "y2"], ["x3", "y3"]],
+            [["x1", "y2"], ["x2", "y1"], ["x3", "y3"]],
+        ]
+
+    def test_prefix_vertex_in_no_trace_means_no_pm(self):
+        h = build_hypergraph(
+            [["x1", "x2"], ["y1", "y2"], ["z"]],
+            [["x1", "y1", "z"], ["x2", "y1", "z"]],
+            strict=False,
+        )
+        assert enumerate_perfect_matchings(h, limit=2) == []
+
 
 class TestMaxBipartiteMatching:
     def _inst(self, h, adjacency):

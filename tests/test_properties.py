@@ -265,6 +265,39 @@ def test_enumeration_order_matches_lexicographic_reference(h, limit):
     assert [list(m.edges) for m in found] == _enumeration_reference(h, limit)
 
 
+@st.composite
+def dense_prefix_instances(draw):
+    """Equal prefix parts and many traces, so the search backtracks a lot."""
+    k = draw(st.integers(2, 4))
+    t = draw(st.integers(1, 5))
+    last = draw(st.integers(1, 3))
+    universe = list(itertools.product(range(t), repeat=k - 1))
+    most = min(len(universe), 4 * t)
+    count = draw(st.integers(min(most, 2 * t), most))
+    traces = draw(st.randoms(use_true_random=False)).sample(universe, count)
+    if draw(st.booleans()):
+        # plant the diagonal, so some perfect matching exists
+        traces = list(dict.fromkeys([(i,) * (k - 1) for i in range(t)] + traces))
+    if k > 2 and draw(st.booleans()):
+        # leave the last second-part vertex in no trace
+        traces = [tr for tr in traces if tr[1] != t - 1]
+    parts = [[f"p{i}v{j}" for j in range(t)] for i in range(k - 1)]
+    parts.append([f"z{j}" for j in range(last)])
+    edges = [
+        [parts[i][c] for i, c in enumerate(tr)]
+        + [parts[-1][draw(st.integers(0, last - 1))]]
+        for tr in traces
+    ]
+    return build_hypergraph(parts, edges, strict=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_prefix_instances(), st.integers(1, 4))
+def test_dense_enumeration_matches_lexicographic_reference(h, limit):
+    found = enumerate_perfect_matchings(h, limit=limit)
+    assert [list(m.edges) for m in found] == _enumeration_reference(h, limit)
+
+
 def _kuhn_reference(inst):
     """Reference: the recursive augmenting-path search, same visiting order."""
     match_left = [None] * len(inst.left)
