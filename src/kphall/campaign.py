@@ -43,7 +43,6 @@ from .instance_io import serialize_instance
 from .matching import (
     MATCHING_EXISTS,
     NO_MATCHING,
-    SdrInstance,
     hall_subset_oracle,
     max_bipartite_matching,
     prefix_hall_verdict,
@@ -166,10 +165,7 @@ def _check_k2_reduction(h: KPartiteHypergraph) -> str | None:
     if h.k != 2:
         return f"expected a bipartite instance, got k={h.k}"
     verdict = prefix_hall_verdict(h)
-    left = tuple([(v,) for v in h.parts[0]])
-    inst = SdrInstance(
-        left=left, adjacency=tuple([neighborhood(h, s) for s in left])
-    )
+    inst = tuple([neighborhood(h, (v,)) for v in h.parts[0]])
     saturated = len(max_bipartite_matching(inst)) == h.t
     claims_exists = verdict.applicable and verdict.conclusion == MATCHING_EXISTS
     if claims_exists != saturated:

@@ -11,6 +11,7 @@ them without trusting the search.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import TooLargeError
 from .hypergraph import KPartiteHypergraph, Vertex
@@ -73,29 +74,40 @@ def alpha_prime(
     cap = min(h.part_sizes)
     m = len(edges)
     best: list[int] = []
-    done = False
-
-    def walk(start: int, used: frozenset[Vertex], chosen: list[int]) -> None:
-        nonlocal best, done
+    chosen: list[int] = []
+    used: set[Vertex] = set()
+    # Depth-first with an explicit stack, so a deep optimum cannot exhaust
+    # the recursion limit.  One frame per node on the path: the later edges
+    # disjoint from ``used`` and the position of the next one to try.
+    frames: list[list] = []
+    start = 0
+    while True:
         if len(chosen) > len(best):
             best = list(chosen)
             if len(best) >= cap:
-                done = True
-                return
-        compatible = [j for j in range(start, m) if used.isdisjoint(edge_sets[j])]
-        if len(chosen) + len(compatible) <= len(best):
-            return
-        for pos, j in enumerate(compatible):
-            chosen.append(j)
-            walk(j + 1, used | edge_sets[j], chosen)
-            chosen.pop()
-            if done:
-                return
-            if len(chosen) + (len(compatible) - pos - 1) <= len(best):
-                return
+                break
+        frames.append(
+            [[j for j in range(start, m) if used.isdisjoint(edge_sets[j])], 0]
+        )
+        # Back up to the deepest node whose untried edges could still beat
+        # ``best``, undoing the edge that led to each node left behind.
+        while frames:
+            compatible, pos = frames[-1]
+            if len(chosen) + len(compatible) - pos > len(best):
+                break
+            frames.pop()
+            if chosen:
+                used -= edge_sets[chosen.pop()]
+        else:
+            break
+        j = compatible[pos]
+        frames[-1][1] = pos + 1
+        chosen.append(j)
+        used |= edge_sets[j]
+        start = j + 1
 
-    walk(0, frozenset(), [])
-    return len(best), Matching.of(edges[j] for j in best)
+    # Edges taken in canonical order and pairwise disjoint: already canonical.
+    return len(best), Matching(tuple([edges[j] for j in best]))
 
 
 def beta(
@@ -115,35 +127,38 @@ def beta(
 def _min_cover(h: KPartiteHypergraph, lower: int) -> tuple[int, tuple[Vertex, ...]]:
     edges = h.edges
     best: list[Vertex] = sorted(h.parts[0])
-    done = False
-
-    def first_uncovered(cover: set[Vertex]) -> tuple[Vertex, ...] | None:
-        for e in edges:
-            if cover.isdisjoint(e):
-                return e
-        return None
-
-    def walk(cover: set[Vertex]) -> None:
-        nonlocal best, done
-        if len(cover) >= len(best):
-            return
-        e = first_uncovered(cover)
-        if e is None:
-            best = sorted(cover)
-            if len(best) <= lower:
-                done = True
-            return
-        for v in e:
-            cover.add(v)
-            walk(cover)
-            cover.remove(v)
-            if done:
-                return
-
     # No cover is smaller than a matching, so a first part already of size
     # ``lower`` is optimal, and the walk could only ever tie it.
-    if len(best) > lower:
-        walk(set())
+    if len(best) <= lower:
+        return len(best), tuple(best)
+    # Depth-first with an explicit stack, so a deep cover cannot exhaust the
+    # recursion limit: one iterator per node on the path over the vertices
+    # of its first uncovered edge, and path[d] is the vertex taken at depth d.
+    cover: set[Vertex] = set()
+    path: list[Vertex] = []
+    stack: list[Iterator[Vertex]] = []
+    while True:
+        if len(cover) < len(best):
+            e = next((e for e in edges if cover.isdisjoint(e)), None)
+            if e is None:
+                best = sorted(cover)
+                if len(best) <= lower:
+                    break
+            else:
+                stack.append(iter(e))
+        # Resume the deepest node with a vertex left to try, undoing the
+        # vertex that led to each node that is done.
+        while stack:
+            if len(path) == len(stack):
+                cover.remove(path.pop())
+            v = next(stack[-1], None)
+            if v is not None:
+                break
+            stack.pop()
+        else:
+            break
+        cover.add(v)
+        path.append(v)
     return len(best), tuple(best)
 
 

@@ -199,8 +199,9 @@ def gen_planted_unique(params: GeneratorParams, seed: int) -> KPartiteHypergraph
 
         edges = []
         max_attach = min(attachments, last_size)
+        nattach_draw = _draws(seed, "nattach", attempt)
         for rank, tup in enumerate(traces):
-            count = 1 + randbelow(seed, max_attach, "nattach", attempt, rank)
+            count = 1 + int(nattach_draw(rank) * max_attach)
             attach_draw = _draws(seed, "attach", attempt, rank)
             scored = sorted(range(last_size), key=lambda j: (attach_draw(j), j))
             for j in scored[:count]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     DuplicateLabelError,
@@ -46,13 +46,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Vertex:
+class Vertex(NamedTuple):
     """A vertex at (part, index) with a display label.
 
     Within one instance (part, index) is already unique, so the label never
     decides the canonical order; it does participate in equality, keeping
-    vertices from differently labeled instances distinct.
+    vertices from differently labeled instances distinct.  Being a plain
+    tuple, a vertex also equals the 3-tuple (part, index, label).
     """
 
     part: int
@@ -108,13 +108,6 @@ class KPartiteHypergraph:
             for i, v in enumerate(e):
                 found.setdefault(e[:i] + e[i + 1 :], []).append(v)
         return {key: tuple(sorted(vs)) for key, vs in found.items()}
-
-    def prefix_parts(self) -> tuple[tuple[Vertex, ...], ...]:
-        """All parts except the last."""
-        return self.parts[:-1]
-
-    def last_part(self) -> tuple[Vertex, ...]:
-        return self.parts[-1]
 
 
 def _canonical_edge_key(edge: Edge) -> tuple[int, ...]:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from importlib import resources
-from typing import Any, Mapping
+from typing import Any
 
 from .errors import ParseError, SchemaError, UnknownFixtureError
 from .hypergraph import KPartiteHypergraph, build_hypergraph
@@ -97,62 +97,21 @@ def parse_instance(text: str, *, strict: bool = True) -> KPartiteHypergraph:
     return build_hypergraph(parts, edges, strict=strict, metadata=metadata)
 
 
-def _normalize_metadata(value: Any) -> Any:
-    """A copy of ``value`` with the keys of every dict sorted.
-
-    Built with an explicit stack, so metadata nested as deeply as
-    `parse_instance` accepts cannot exhaust the recursion limit.  A
-    container inside itself raises ValueError, as `json.dumps` would.
-    """
-    stack: list[tuple[Any, Any]] = []
-    open_ids: set[int] = set()  # containers on the path being copied
-
-    def enqueue(x: Any) -> Any:
-        # The (still empty) copy of a container, queued to be filled.
-        if isinstance(x, dict):
-            out: Any = {}
-        elif isinstance(x, list):
-            out = []
-        else:
-            return x
-        if id(x) in open_ids:
-            raise ValueError("Circular reference detected")
-        stack.append((x, out))
-        return out
-
-    root = enqueue(value)
-    while stack:
-        src, out = stack.pop()
-        if out is None:
-            open_ids.discard(id(src))
-            continue
-        open_ids.add(id(src))
-        stack.append((src, None))  # popped once src's subtree is copied
-        if isinstance(src, dict):
-            for k in sorted(src):
-                out[k] = enqueue(src[k])
-        else:
-            out.extend([enqueue(x) for x in src])
-    return root
-
-
-def serialize_instance(
-    h: KPartiteHypergraph, *, metadata: Mapping | None = None
-) -> str:
+def serialize_instance(h: KPartiteHypergraph) -> str:
     """Canonical, byte-stable document text for an instance.
 
-    Structurally equal instances serialize identically.  Metadata defaults
-    to whatever the instance carries.
+    Structurally equal instances serialize identically.  The round trip
+    through `json` sorts the keys of every metadata object; metadata inside
+    itself raises ValueError.
     """
-    meta = h.metadata if metadata is None else metadata
     doc: dict[str, Any] = {
         "format_version": FORMAT_VERSION,
         "k": h.k,
         "parts": [[v.label for v in part] for part in h.parts],
         "edges": [[v.label for v in e] for e in h.edges],
     }
-    if meta is not None:
-        doc["metadata"] = _normalize_metadata(dict(meta))
+    if h.metadata is not None:
+        doc["metadata"] = json.loads(json.dumps(dict(h.metadata), sort_keys=True))
     return json.dumps(doc, indent=2) + "\n"
 
 

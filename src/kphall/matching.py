@@ -6,9 +6,9 @@ vertex) are read straight off the edge list, in canonical order.  The
 enumeration is an exact-cover search over integer vertex ids private to
 the call; it forward-checks each take against per-vertex counts of live
 traces, which prunes dead branches without reordering the search.  Each
-matching is then turned into an SDR instance (element -> candidate
-last-part vertices).  Each element is a plain vertex tuple, read with its
-candidates straight off the instance's cached completions index.  One
+matching is then turned into an SDR instance: a tuple holding, for each
+element of the matching in order, the tuple of its candidate last-part
+vertices, read straight off the instance's cached completions index.  One
 augmenting-path run on that instance, `analyze_matching`, gives everything
 the analysis reports about the matching: its Hall deficiency, a violator
 set when the deficiency is positive, and its extension to a matching of
@@ -30,7 +30,6 @@ from .hypergraph import Edge, KPartiteHypergraph, Vertex, prefix_traces
 
 __all__ = [
     "Matching",
-    "SdrInstance",
     "HallReport",
     "MatchingAnalysis",
     "HallVerdict",
@@ -83,14 +82,6 @@ class Matching:
 
 
 @dataclass(frozen=True)
-class SdrInstance:
-    """Bipartite instance: each left element with its candidate vertices."""
-
-    left: tuple[Edge, ...]
-    adjacency: tuple[tuple[Vertex, ...], ...]
-
-
-@dataclass(frozen=True)
 class HallReport:
     """Deficiency of the neighborhood family of a prefix perfect matching."""
 
@@ -130,7 +121,7 @@ def enumerate_perfect_matchings(
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    parts = h.prefix_parts()
+    parts = h.parts[:-1]
     t = len(parts[0])
     if any(len(p) != t for p in parts):
         return []
@@ -225,23 +216,25 @@ def _check_prefix_matching(h: KPartiteHypergraph, m: Matching) -> None:
         covered.update(e)
     # Every covered vertex is a prefix vertex of h, so equal counts mean
     # every prefix vertex is covered.
-    if len(covered) != sum(len(p) for p in h.prefix_parts()):
+    if len(covered) != sum(len(p) for p in h.parts[:-1]):
         raise NotPerfectPrefixMatchingError(
             "matching does not cover every prefix vertex"
         )
 
 
-def sdr_instance(h: KPartiteHypergraph, m: Matching) -> SdrInstance:
-    """SDR instance of a prefix perfect matching: elements vs last-part vertices."""
+def sdr_instance(
+    h: KPartiteHypergraph, m: Matching
+) -> tuple[tuple[Vertex, ...], ...]:
+    """SDR instance of a prefix perfect matching: each element's candidates."""
     _check_prefix_matching(h, m)
-    return SdrInstance(
-        left=m.edges, adjacency=tuple([h._completions[e] for e in m.edges])
-    )
+    return tuple([h._completions[e] for e in m.edges])
 
 
-def _kuhn(inst: SdrInstance) -> tuple[list[Vertex | None], dict[Vertex, int]]:
+def _kuhn(
+    inst: tuple[tuple[Vertex, ...], ...]
+) -> tuple[list[Vertex | None], dict[Vertex, int]]:
     """Maximum bipartite matching by augmenting paths, deterministic order."""
-    match_left: list[Vertex | None] = [None] * len(inst.left)
+    match_left: list[Vertex | None] = [None] * len(inst)
     match_right: dict[Vertex, int] = {}
 
     def augment(root: int) -> None:
@@ -249,7 +242,7 @@ def _kuhn(inst: SdrInstance) -> tuple[list[Vertex | None], dict[Vertex, int]]:
         # explicit stack so long paths cannot exhaust the recursion limit;
         # path[d] is the vertex being tried from the element at stack[d].
         visited: set[Vertex] = set()
-        stack = [(root, iter(inst.adjacency[root]))]
+        stack = [(root, iter(inst[root]))]
         path: list[Vertex] = []
         while stack:
             for v in stack[-1][1]:
@@ -268,24 +261,26 @@ def _kuhn(inst: SdrInstance) -> tuple[list[Vertex | None], dict[Vertex, int]]:
                     match_left[i] = u
                     match_right[u] = i
                 return
-            stack.append((j, iter(inst.adjacency[j])))
+            stack.append((j, iter(inst[j])))
 
-    for i in range(len(inst.left)):
+    for i in range(len(inst)):
         augment(i)
     return match_left, match_right
 
 
-def max_bipartite_matching(inst: SdrInstance) -> tuple[tuple[int, Vertex], ...]:
-    """Maximum set of (left index, vertex) pairs with all indices and vertices distinct."""
+def max_bipartite_matching(
+    inst: tuple[tuple[Vertex, ...], ...]
+) -> tuple[tuple[int, Vertex], ...]:
+    """Maximum set of (element index, candidate) pairs, all distinct."""
     match_left, _ = _kuhn(inst)
     return tuple([(i, v) for i, v in enumerate(match_left) if v is not None])
 
 
 def _violator_cut(
-    inst: SdrInstance,
+    inst: tuple[tuple[Vertex, ...], ...],
     match_left: list[Vertex | None],
     match_right: dict[Vertex, int],
-) -> tuple[Edge, ...]:
+) -> list[int]:
     # Left elements reachable from unmatched left elements by alternating
     # paths; by Koenig duality this set maximizes |A| - |N(A)|.
     reach_left = {i for i, v in enumerate(match_left) if v is None}
@@ -293,7 +288,7 @@ def _violator_cut(
     queue = deque(sorted(reach_left))
     while queue:
         i = queue.popleft()
-        for v in inst.adjacency[i]:
+        for v in inst[i]:
             if v in reach_right:
                 continue
             reach_right.add(v)
@@ -301,7 +296,7 @@ def _violator_cut(
             if j is not None and j not in reach_left:
                 reach_left.add(j)
                 queue.append(j)
-    return tuple([inst.left[i] for i in sorted(reach_left)])
+    return sorted(reach_left)
 
 
 def analyze_matching(h: KPartiteHypergraph, m: Matching) -> MatchingAnalysis:
@@ -316,14 +311,17 @@ def analyze_matching(h: KPartiteHypergraph, m: Matching) -> MatchingAnalysis:
     """
     inst = sdr_instance(h, m)
     match_left, match_right = _kuhn(inst)
-    t = len(inst.left)
+    t = len(m.edges)
     max_sdr = sum(1 for v in match_left if v is not None)
     deficiency = t - max_sdr
-    witness = (
-        _violator_cut(inst, match_left, match_right) if deficiency > 0 else None
-    )
-    extension = Matching.of(
-        inst.left[i] + (v,) for i, v in enumerate(match_left) if v is not None
+    witness = None
+    if deficiency > 0:
+        cut = _violator_cut(inst, match_left, match_right)
+        witness = tuple([m.edges[i] for i in cut])
+    # The elements are disjoint and in canonical order, and a last-part
+    # vertex sorts after them, so the extension is canonical as built.
+    extension = Matching(
+        tuple([e + (v,) for e, v in zip(m.edges, match_left) if v is not None])
     )
     return MatchingAnalysis(
         prefix_matching=m,
@@ -341,12 +339,12 @@ def hall_subset_oracle(h: KPartiteHypergraph, m: Matching) -> HallReport:
     2^t subsets with t <= SUBSET_ORACLE_LIMIT.
     """
     inst = sdr_instance(h, m)
-    t = len(inst.left)
+    t = len(inst)
     if t > SUBSET_ORACLE_LIMIT:
         raise TooLargeError(
             f"subset oracle limited to {SUBSET_ORACLE_LIMIT} elements, got {t}"
         )
-    neighborhoods = [frozenset(adj) for adj in inst.adjacency]
+    neighborhoods = [frozenset(adj) for adj in inst]
     best = 0
     best_mask = 0
     for mask in range(1 << t):
@@ -361,7 +359,7 @@ def hall_subset_oracle(h: KPartiteHypergraph, m: Matching) -> HallReport:
             best_mask = mask
     witness = None
     if best > 0:
-        witness = tuple([inst.left[i] for i in range(t) if best_mask >> i & 1])
+        witness = tuple([m.edges[i] for i in range(t) if best_mask >> i & 1])
     return HallReport(
         t=t, max_sdr=t - best, deficiency=best, witness_violator=witness
     )
@@ -429,7 +427,7 @@ def prefix_hall_verdict(h: KPartiteHypergraph, *, limit: int = 2) -> HallVerdict
     part also has size t, so the witness covers every vertex.
     """
     t = h.t
-    prefix_sizes = set(len(p) for p in h.prefix_parts())
+    prefix_sizes = set(len(p) for p in h.parts[:-1])
     if prefix_sizes != {t}:
         return _not_applicable(
             t, 0, f"prefix part sizes {sorted(prefix_sizes)} are not all {t}"
@@ -475,7 +473,7 @@ def prefix_hall_verdict(h: KPartiteHypergraph, *, limit: int = 2) -> HallVerdict
             f"{qualifier}, which does not rule out a matching of size {t}"
         )
 
-    perfect = conclusion == MATCHING_EXISTS and len(h.last_part()) == t
+    perfect = conclusion == MATCHING_EXISTS and len(h.parts[-1]) == t
     if perfect:
         message += "; it is a perfect matching"
 

@@ -30,7 +30,6 @@ from kphall.generate import derive_seed, randbelow, unit_float
 from kphall.hypergraph import neighborhood_of_set
 from kphall.matching import (
     MATCHING_EXISTS,
-    SdrInstance,
     hall_subset_oracle,
     max_bipartite_matching,
 )
@@ -269,11 +268,7 @@ def test_criterion_7_bipartite_reduction():
     for i in range(trials):
         h = make_random(SEED + 1, i, k=2, size_max=6)
         verdict = prefix_hall_verdict(h)
-        left = tuple((v,) for v in h.parts[0])
-        inst = SdrInstance(
-            left=left,
-            adjacency=tuple(neighborhood(h, sub) for sub in left),
-        )
+        inst = tuple(neighborhood(h, (v,)) for v in h.parts[0])
         saturated = len(max_bipartite_matching(inst)) == h.t
         claims = verdict.applicable and verdict.conclusion == MATCHING_EXISTS
         r = duality_report(h, force=True)

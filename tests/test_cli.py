@@ -220,6 +220,32 @@ class TestExtendDeep:
         assert payload["edges"][-1] == ["a1500", "b0000"]
 
 
+@pytest.mark.usefixtures("default_recursion_limit")
+class TestAnalyzeForceDeep:
+    """Forced solves deeper than the recursion limit; both walks once overflowed."""
+
+    def test_many_disjoint_edges(self, capsys, tmp_path):
+        # alpha' walks one edge deeper per edge taken
+        left = [f"a{i:04d}" for i in range(1200)]
+        right = [f"b{i:04d}" for i in range(1200)]
+        edges = [list(e) for e in zip(left, right)]
+        path = _bipartite_file(tmp_path, left, right, edges)
+        code, out, _ = run(capsys, "analyze", path, "--force", "--json")
+        assert code == 0
+        duality = json.loads(out)["duality"]
+        assert (duality["alpha_prime"], duality["beta"]) == (1200, 1200)
+
+    def test_star(self, capsys, tmp_path):
+        # the cover walk takes leaf after leaf before it tries the center
+        left = [f"a{i:04d}" for i in range(1200)]
+        path = _bipartite_file(tmp_path, left, ["b"], [[a, "b"] for a in left])
+        code, out, _ = run(capsys, "analyze", path, "--force", "--json")
+        assert code == 0
+        duality = json.loads(out)["duality"]
+        assert (duality["alpha_prime"], duality["beta"]) == (1, 1)
+        assert duality["min_cover_witness"] == ["b"]
+
+
 class TestGenerate:
     def test_random_full_density(self, capsys, tmp_path):
         out_path = tmp_path / "all.json"

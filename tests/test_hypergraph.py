@@ -2,7 +2,7 @@
 
 import pytest
 
-from kphall import build_hypergraph, neighborhood
+from kphall import Vertex, build_hypergraph, neighborhood
 from kphall.errors import (
     DuplicateLabelError,
     IsolatedVertexError,
@@ -26,6 +26,17 @@ EDGES_A = [
     ["x2", "y2", "z2"],
     ["x2", "y1", "z2"],
 ]
+
+
+class TestVertex:
+    def test_order_ignores_labels_within_an_instance(self):
+        assert Vertex(0, 1, "a") < Vertex(1, 0, "b") < Vertex(1, 1, "a")
+        assert str(Vertex(2, 0, "z9")) == "z9"
+
+    def test_equality_sees_labels_and_plain_tuples(self):
+        assert Vertex(0, 0, "a") != Vertex(0, 0, "b")
+        assert Vertex(0, 0, "a") == (0, 0, "a")
+        assert hash(Vertex(0, 0, "a")) == hash((0, 0, "a"))
 
 
 class TestBuildValidate:

@@ -139,9 +139,9 @@ class TestSerialize:
     def test_self_containing_metadata_is_rejected(self):
         loop = []
         loop.append(loop)
-        h = parse_instance(doc())
+        h = build_hypergraph([["a"], ["b"]], [["a", "b"]], metadata={"loop": loop})
         with pytest.raises(ValueError, match="Circular reference"):
-            serialize_instance(h, metadata={"loop": loop})
+            serialize_instance(h)
 
     def test_empty_edge_list_serializes(self):
         h = build_hypergraph([["a"], ["b"]], [], strict=False)

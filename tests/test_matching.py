@@ -15,7 +15,6 @@ from kphall.matching import (
     INCONCLUSIVE,
     MATCHING_EXISTS,
     NO_MATCHING,
-    SdrInstance,
     hall_subset_oracle,
     max_bipartite_matching,
     sdr_instance,
@@ -29,6 +28,17 @@ def vertex_tuple(h, names):
 
 def prefix_matching(h, *edges):
     return Matching.of([vertex_tuple(h, e) for e in edges])
+
+
+class TestMatchingOf:
+    def test_sorts_edges_and_their_vertices(self, gap):
+        reversed_edge = vertex_tuple(gap, ["2", "4"])[::-1]
+        m = Matching.of([reversed_edge, vertex_tuple(gap, ["1", "3"])])
+        assert [[v.label for v in e] for e in m.edges] == [["1", "3"], ["2", "4"]]
+
+    def test_rejects_overlapping_edges(self, gap):
+        with pytest.raises(ValueError, match="not pairwise disjoint at 1"):
+            Matching.of([vertex_tuple(gap, ["1", "3"]), vertex_tuple(gap, ["1", "4"])])
 
 
 class TestEnumeratePerfectMatchings:
@@ -80,13 +90,7 @@ class TestEnumeratePerfectMatchings:
 
 class TestMaxBipartiteMatching:
     def _inst(self, h, adjacency):
-        left = tuple(vertex_tuple(h, e) for e in adjacency)
-        return SdrInstance(
-            left=left,
-            adjacency=tuple(
-                tuple(h.vertex(x) for x in vs) for vs in adjacency.values()
-            ),
-        )
+        return tuple(tuple(h.vertex(x) for x in vs) for vs in adjacency.values())
 
     def test_competing_singletons(self, gap):
         inst = self._inst(gap, {("1", "3"): ("5",), ("2", "4"): ("5",)})
@@ -100,8 +104,7 @@ class TestMaxBipartiteMatching:
         assert [(i, v.label) for i, v in pairs] == [(0, "z1"), (1, "z2")]
 
     def test_empty_left(self, gap):
-        inst = SdrInstance(left=(), adjacency=())
-        assert max_bipartite_matching(inst) == ()
+        assert max_bipartite_matching(()) == ()
 
     def test_deterministic(self, gap):
         m = prefix_matching(gap, ("1", "3"), ("2", "4"))

@@ -14,6 +14,7 @@ from kphall import (
     Matching,
     alpha_prime,
     analyze_matching,
+    beta,
     build_hypergraph,
     duality_report,
     enumerate_perfect_matchings,
@@ -27,7 +28,6 @@ from kphall.hypergraph import neighborhood_of_set, submaximal_edges
 from kphall.matching import (
     MATCHING_EXISTS,
     NO_MATCHING,
-    SdrInstance,
     hall_subset_oracle,
     max_bipartite_matching,
     sdr_instance,
@@ -184,11 +184,7 @@ def test_weak_duality_and_konig_equivalence(h):
 def test_bipartite_konig_and_hall_reduction(h):
     r = duality_report(h, force=True)
     assert r.alpha_prime == r.beta
-    left = tuple((v,) for v in h.parts[0])
-    inst = SdrInstance(
-        left=left,
-        adjacency=tuple(neighborhood(h, s) for s in left),
-    )
+    inst = tuple(neighborhood(h, (v,)) for v in h.parts[0])
     saturated = len(max_bipartite_matching(inst)) == h.t
     v = prefix_hall_verdict(h)
     claims = v.applicable and v.conclusion == MATCHING_EXISTS
@@ -300,11 +296,11 @@ def test_dense_enumeration_matches_lexicographic_reference(h, limit):
 
 def _kuhn_reference(inst):
     """Reference: the recursive augmenting-path search, same visiting order."""
-    match_left = [None] * len(inst.left)
+    match_left = [None] * len(inst)
     match_right = {}
 
     def augment(i, visited):
-        for v in inst.adjacency[i]:
+        for v in inst[i]:
             if v in visited:
                 continue
             visited.add(v)
@@ -315,7 +311,7 @@ def _kuhn_reference(inst):
                 return True
         return False
 
-    for i in range(len(inst.left)):
+    for i in range(len(inst)):
         augment(i, set())
     return tuple((i, v) for i, v in enumerate(match_left) if v is not None)
 
@@ -323,12 +319,109 @@ def _kuhn_reference(inst):
 @settings(max_examples=100, deadline=None)
 @given(instances(min_k=2, max_k=2, max_part=5, max_edges=20))
 def test_kuhn_matches_recursive_reference(h):
-    left = tuple((v,) for v in h.parts[0])
-    inst = SdrInstance(
-        left=left,
-        adjacency=tuple(neighborhood(h, s) for s in left),
-    )
+    inst = tuple(neighborhood(h, (v,)) for v in h.parts[0])
     assert max_bipartite_matching(inst) == _kuhn_reference(inst)
+
+
+def _alpha_prime_reference(h):
+    """Reference: the recursive branch and bound, same visiting order."""
+    edges = h.edges
+    edge_sets = [frozenset(e) for e in edges]
+    cap = min(h.part_sizes)
+    m = len(edges)
+    best = []
+    done = False
+
+    def walk(start, used, chosen):
+        nonlocal best, done
+        if len(chosen) > len(best):
+            best = list(chosen)
+            if len(best) >= cap:
+                done = True
+                return
+        compatible = [j for j in range(start, m) if used.isdisjoint(edge_sets[j])]
+        if len(chosen) + len(compatible) <= len(best):
+            return
+        for pos, j in enumerate(compatible):
+            chosen.append(j)
+            walk(j + 1, used | edge_sets[j], chosen)
+            chosen.pop()
+            if done:
+                return
+            if len(chosen) + (len(compatible) - pos - 1) <= len(best):
+                return
+
+    walk(0, frozenset(), [])
+    return len(best), Matching(tuple(edges[j] for j in best))
+
+
+def _min_cover_reference(h, lower):
+    """Reference: the recursive cover search, same visiting order."""
+    edges = h.edges
+    best = sorted(h.parts[0])
+    done = False
+
+    def first_uncovered(cover):
+        for e in edges:
+            if cover.isdisjoint(e):
+                return e
+        return None
+
+    def walk(cover):
+        nonlocal best, done
+        if len(cover) >= len(best):
+            return
+        e = first_uncovered(cover)
+        if e is None:
+            best = sorted(cover)
+            if len(best) <= lower:
+                done = True
+            return
+        for v in e:
+            cover.add(v)
+            walk(cover)
+            cover.remove(v)
+            if done:
+                return
+
+    if len(best) > lower:
+        walk(set())
+    return len(best), tuple(best)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(max_part=4, max_edges=20))
+def test_exact_witnesses_match_recursive_references(h):
+    expected = _alpha_prime_reference(h)
+    assert alpha_prime(h, force=True) == expected
+    assert beta(h, force=True) == _min_cover_reference(h, expected[0])
+
+
+def _assert_canonical_matching(m):
+    assert m.edges == tuple(sorted(m.edges))
+    assert all(e == tuple(sorted(e)) for e in m.edges)
+    vertices = [v for e in m.edges for v in e]
+    assert len(vertices) == len(set(vertices))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.one_of(
+        instances(max_edges=12),
+        planted_instances(max_k=4, max_t=4),
+        dense_prefix_instances(),
+    )
+)
+def test_internal_matchings_are_canonical_and_disjoint(h):
+    # Internal paths build Matching directly, without Matching.of's
+    # sorting and disjointness check; this is that check.
+    for m in enumerate_perfect_matchings(h, limit=3):
+        _assert_canonical_matching(m)
+        _assert_canonical_matching(analyze_matching(h, m).extension)
+    verdict = prefix_hall_verdict(h, limit=3)
+    if verdict.witness is not None:
+        _assert_canonical_matching(verdict.witness)
+    _assert_canonical_matching(alpha_prime(h, force=True)[1])
 
 
 def _accepts_prefix_matching(h, edges):
@@ -431,10 +524,10 @@ def test_sdr_size_matches_networkx_hopcroft_karp(h):
     for m in matchings:
         inst = sdr_instance(h, m)
         graph = nx.Graph()
-        left = [("element", i) for i in range(len(inst.left))]
+        left = [("element", i) for i in range(len(inst))]
         graph.add_nodes_from(left)
         graph.add_edges_from(
-            (node, v) for node, adj in zip(left, inst.adjacency) for v in adj
+            (node, v) for node, adj in zip(left, inst) for v in adj
         )
         pairs = nx.algorithms.bipartite.hopcroft_karp_matching(graph, top_nodes=left)
         analysis = analyze_matching(h, m)
