@@ -109,6 +109,28 @@ class KPartiteHypergraph:
                 found.setdefault(e[:i] + e[i + 1 :], []).append(v)
         return {key: tuple(sorted(vs)) for key, vs in found.items()}
 
+    @cached_property
+    def _bits(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Bitmasks for the exact solvers: per edge, then per part.
+
+        Vertex (part, index) is bit offset[part] + index, so the bits of an
+        edge in increasing order are its vertices in part order.
+        """
+        offsets = []
+        part_masks = []
+        n = 0
+        for part in self.parts:
+            offsets.append(n)
+            part_masks.append(((1 << len(part)) - 1) << n)
+            n += len(part)
+        masks = []
+        for e in self.edges:
+            mask = 0
+            for p, i, _ in e:
+                mask |= 1 << (offsets[p] + i)
+            masks.append(mask)
+        return tuple(masks), tuple(part_masks)
+
 
 def _canonical_edge_key(edge: Edge) -> tuple[int, ...]:
     return tuple([v.index for v in edge])

@@ -123,6 +123,18 @@ class TestAnalyze:
         code, _, _ = run(capsys, "analyze", str(path), "--lenient", "--force")
         assert code == 0
 
+    def test_exact_solvers_finish_inside_the_guard(self, capsys, tmp_path):
+        # 20 edges and 39 vertices, under the guard: (a_i, b_i) for i < 19
+        # plus (a19, b00); beta has to prove the first part is not optimal.
+        left = [f"a{i:02d}" for i in range(20)]
+        right = [f"b{i:02d}" for i in range(19)]
+        edges = [list(e) for e in zip(left, right)] + [[left[19], right[0]]]
+        path = _bipartite_file(tmp_path, left, right, edges)
+        code, out, _ = run(capsys, "analyze", path, "--json")
+        assert code == 0
+        duality = json.loads(out)["duality"]
+        assert (duality["alpha_prime"], duality["beta"]) == (19, 19)
+
     def test_bad_limit_exit_2(self, capsys, gap_file):
         code, _, err = run(capsys, "analyze", gap_file, "--limit", "0")
         assert code == 2

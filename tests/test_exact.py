@@ -95,6 +95,36 @@ class TestCoverEarlyExit:
         assert [v.label for v in witness] == expected
 
 
+def near_matching(n):
+    """Edges (a_i, b_i) for i < n plus (a_n, b_0): beta = alpha' = n < |a| = n + 1."""
+    parts = [[f"a{i:02d}" for i in range(n + 1)], [f"b{i:02d}" for i in range(n)]]
+    edges = list(zip(parts[0], parts[1])) + [(parts[0][n], parts[1][0])]
+    return build_hypergraph(parts, edges)
+
+
+class TestBoundsPrune:
+    """Instances the unbounded walks cannot finish in test time."""
+
+    def test_cover_packing_bound(self):
+        # Without the packing bound every cover through a00 is walked:
+        # about 4x more time per +2 on n, and 4 s already at n = 20.
+        value, witness = beta(near_matching(24), force=True)
+        assert value == 24
+        assert [v.label for v in witness] == [f"a{i:02d}" for i in range(1, 24)] + ["b00"]
+
+    def test_matching_reach_bound(self):
+        # K(12, 11) and an isolated b11: no matching beats the 11 usable
+        # b-vertices, but only the reach bound knows; counting edges, the
+        # walk takes about 10x more time per vertex added to each part,
+        # and 3 s already on K(9, 8).
+        parts = [[f"a{i:02d}" for i in range(12)], [f"b{j:02d}" for j in range(12)]]
+        edges = [(a, b) for a in parts[0] for b in parts[1][:11]]
+        h = build_hypergraph(parts, edges, strict=False)
+        value, witness = alpha_prime(h, force=True)
+        assert value == 11
+        assert labels(witness.edges) == [[f"a{i:02d}", f"b{i:02d}"] for i in range(11)]
+
+
 class TestDualityReport:
     def test_gap(self, gap):
         r = duality_report(gap)

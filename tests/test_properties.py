@@ -35,14 +35,14 @@ from kphall.matching import (
 
 
 @st.composite
-def instances(draw, min_k=2, max_k=4, max_part=3, max_edges=14):
+def instances(draw, min_k=2, max_k=4, max_part=3, max_edges=14, min_edges=1):
     k = draw(st.integers(min_k, max_k))
     sizes = [draw(st.integers(1, max_part)) for _ in range(k)]
     universe = list(itertools.product(*[range(s) for s in sizes]))
     chosen = draw(
         st.lists(
             st.sampled_from(universe),
-            min_size=1,
+            min_size=min(len(universe), min_edges),
             max_size=min(len(universe), max_edges),
             unique=True,
         )
@@ -389,12 +389,25 @@ def _min_cover_reference(h, lower):
     return len(best), tuple(best)
 
 
-@settings(max_examples=150, deadline=None)
-@given(instances(max_part=4, max_edges=20))
-def test_exact_witnesses_match_recursive_references(h):
+def _assert_exact_witnesses_match_references(h):
     expected = _alpha_prime_reference(h)
     assert alpha_prime(h, force=True) == expected
     assert beta(h, force=True) == _min_cover_reference(h, expected[0])
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(max_part=4, max_edges=20))
+def test_exact_witnesses_match_recursive_references(h):
+    _assert_exact_witnesses_match_references(h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(instances(max_part=7, max_edges=36, min_edges=8))
+def test_bounded_exact_witnesses_match_on_larger_instances(h):
+    # Larger draws than above, where the packing and reach bounds seldom
+    # prune.  They must never cut a strictly better solution, so both
+    # witnesses stay those of the unpruned references.
+    _assert_exact_witnesses_match_references(h)
 
 
 def _assert_canonical_matching(m):
