@@ -31,11 +31,11 @@ class IsolatedVertexError(ValidationError):
 
 
 class WrongArityError(KphallError):
-    """A submaximal edge must have exactly k-1 vertices."""
+    """A neighborhood query must name exactly k-1 vertices."""
 
 
 class SamePartError(KphallError):
-    """A submaximal edge may touch each part at most once."""
+    """A neighborhood query may touch each part at most once."""
 
 
 class NotPerfectPrefixMatchingError(KphallError):

@@ -10,10 +10,12 @@ identical outputs.
 
 The analysis needs one subhypergraph, the one generated on the first k-1
 parts.  Its edges, the prefix traces, are the edges with their last-part
-vertex removed, so `prefix_traces` reads them straight off the canonical
-edge list, already in canonical order.  A submaximal edge, a (k-1)-set of
-vertices contained in some edge, is a plain vertex tuple in part order,
-the same canonical `Edge` form that edges and traces use.
+vertex removed.  Each instance caches one index from every prefix trace to
+the last-part vertices completing it; the canonical edge list already
+groups edges by trace, in canonical order, so the index is read off it in
+one pass.  `prefix_traces` lists its keys and `neighborhood` reads the
+paper's N(e) from it, so a neighborhood is always taken in the last part;
+`rotate_parts` puts a different part last.
 
 Instances are immutable; every operation here is a pure function.
 """
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -39,7 +42,6 @@ __all__ = [
     "KPartiteHypergraph",
     "build_hypergraph",
     "prefix_traces",
-    "submaximal_edges",
     "neighborhood",
     "neighborhood_of_set",
     "rotate_parts",
@@ -86,14 +88,6 @@ class KPartiteHypergraph:
         return len(self.parts[0])
 
     @cached_property
-    def _by_label(self) -> dict[str, Vertex]:
-        return {v.label: v for part in self.parts for v in part}
-
-    def vertex(self, label: str) -> Vertex:
-        """Look up a vertex by its label."""
-        return self._by_label[label]
-
-    @cached_property
     def _edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
 
@@ -101,13 +95,16 @@ class KPartiteHypergraph:
         return tuple(sorted(edge)) in self._edge_set
 
     @cached_property
-    def _completions(self) -> dict[tuple[Vertex, ...], tuple[Vertex, ...]]:
-        """Each (k-1)-subtuple of an edge -> the sorted vertices completing it."""
-        found: dict[tuple[Vertex, ...], list[Vertex]] = {}
-        for e in self.edges:
-            for i, v in enumerate(e):
-                found.setdefault(e[:i] + e[i + 1 :], []).append(v)
-        return {key: tuple(sorted(vs)) for key, vs in found.items()}
+    def _traces(self) -> dict[Edge, tuple[Vertex, ...]]:
+        """Each prefix trace -> the last-part vertices completing it.
+
+        Edges sharing a trace are adjacent in the canonical edge list, with
+        their last-part vertices in increasing order, so no sort is needed.
+        """
+        return {
+            trace: tuple([e[-1] for e in group])
+            for trace, group in groupby(self.edges, key=lambda e: e[:-1])
+        }
 
     @cached_property
     def _bits(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -222,22 +219,19 @@ def build_hypergraph(
 def prefix_traces(h: KPartiteHypergraph) -> tuple[Edge, ...]:
     """Edges of the subhypergraph generated on all parts but the last.
 
-    Each is an edge minus its last-part vertex; the canonical edge list
-    yields them in canonical order, and duplicates are dropped.
+    Each is an edge minus its last-part vertex, listed once, in canonical
+    order.
     """
-    return tuple(dict.fromkeys(e[:-1] for e in h.edges))
-
-
-def submaximal_edges(h: KPartiteHypergraph) -> tuple[Edge, ...]:
-    """All (k-1)-subsets of vertices contained in at least one edge, sorted."""
-    return tuple(sorted(h._completions))
+    return tuple(h._traces)
 
 
 def neighborhood(h: KPartiteHypergraph, sub: Iterable[Vertex]) -> tuple[Vertex, ...]:
-    """Vertices v such that sub + {v} is an edge of h, in canonical order.
+    """N(sub): the last-part vertices v such that sub + {v} is an edge of h.
 
-    Empty when ``sub`` is not a submaximal edge of h; that is a valid
-    outcome, not an error.
+    In canonical order.  Empty when ``sub`` is not a prefix trace of h, which
+    includes every set holding a last-part vertex; that is a valid outcome,
+    not an error.  Raises WrongArityError unless ``sub`` has k-1 vertices and
+    SamePartError when two of them share a part.
     """
     vs = tuple(sorted(sub))
     if len(vs) != h.k - 1:
@@ -245,13 +239,13 @@ def neighborhood(h: KPartiteHypergraph, sub: Iterable[Vertex]) -> tuple[Vertex, 
     parts = [v.part for v in vs]
     if len(set(parts)) != len(parts):
         raise SamePartError("two vertices share a part")
-    return h._completions.get(vs, ())
+    return h._traces.get(vs, ())
 
 
 def neighborhood_of_set(
     h: KPartiteHypergraph, subs: Iterable[Iterable[Vertex]]
 ) -> tuple[Vertex, ...]:
-    """Union of the neighborhoods of the given submaximal edges."""
+    """Union of the neighborhoods of the given prefix traces."""
     out: set[Vertex] = set()
     for sub in subs:
         out.update(neighborhood(h, sub))

@@ -8,7 +8,7 @@ the call; it forward-checks each take against per-vertex counts of live
 traces, which prunes dead branches without reordering the search.  Each
 matching is then turned into an SDR instance: a tuple holding, for each
 element of the matching in order, the tuple of its candidate last-part
-vertices, read straight off the instance's cached completions index.  One
+vertices, read straight off the instance's cached trace index.  One
 augmenting-path run on that instance, `analyze_matching`, gives everything
 the analysis reports about the matching: its Hall deficiency, a violator
 set when the deficiency is positive, and its extension to a matching of
@@ -202,12 +202,9 @@ def enumerate_perfect_matchings(
 
 
 def _check_prefix_matching(h: KPartiteHypergraph, m: Matching) -> None:
-    # A prefix trace takes one vertex from each of the parts 0..k-2, in part
-    # order, and is the (k-1)-subtuple of some edge.
-    trace_parts = tuple(range(h.k - 1))
     covered: set[Vertex] = set()
     for e in m.edges:
-        if tuple([v.part for v in e]) != trace_parts or e not in h._completions:
+        if e not in h._traces:
             raise NotPerfectPrefixMatchingError(
                 f"{{{','.join(v.label for v in e)}}} is not a prefix trace"
             )
@@ -227,7 +224,7 @@ def sdr_instance(
 ) -> tuple[tuple[Vertex, ...], ...]:
     """SDR instance of a prefix perfect matching: each element's candidates."""
     _check_prefix_matching(h, m)
-    return tuple([h._completions[e] for e in m.edges])
+    return tuple([h._traces[e] for e in m.edges])
 
 
 def _kuhn(

@@ -26,3 +26,8 @@ def single_edge():
 def labels(edges):
     """Edge/matching content as sorted lists of label lists, for comparisons."""
     return sorted([v.label for v in e] for e in edges)
+
+
+def vertex(h, label):
+    """The vertex of ``h`` carrying ``label``."""
+    return next(v for part in h.parts for v in part if v.label == label)

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, exit codes, JSON output stability."""
 
 import json
+import random
 import sys
 
 import pytest
@@ -348,3 +349,50 @@ class TestVerify:
         )
         assert code == 0
         assert json.loads(out)["config"]["t_values"] == [1, 2, 4]
+
+
+class TestFuzz:
+    """Seeded mutants of a fixture document through ``main()``."""
+
+    SPLICES = [
+        b"[" * 3000,
+        b"9" * 5000,
+        b"1e999",
+        b'"\\ud800"',
+        "\ud800".encode("utf-8", "surrogatepass"),
+    ]
+    TOKENS = [
+        b"[", b"]", b"{", b"}", b",", b":", b'"', b"0", b"-1", b"null",
+        b"true", b'"x1"', b'"z2",', b'"k": 2,', b"\\", b"\xff",
+    ]
+
+    def mutate(self, rng, doc):
+        doc = bytearray(doc)
+        for _ in range(rng.randint(1, 3)):
+            pos = rng.randrange(len(doc) + 1)
+            op = rng.randrange(3)
+            if op == 0:
+                del doc[pos : pos + rng.randint(1, 8)]
+            elif op == 1:
+                doc[pos:pos] = b"".join(rng.choices(self.TOKENS, k=rng.randint(1, 3)))
+            else:
+                doc[pos:pos] = rng.choice(self.SPLICES)
+        return bytes(doc)
+
+    def test_documented_exit_codes_and_no_traceback(self, capsys, tmp_path):
+        rng = random.Random(20161)
+        base = serialize_instance(fixture("nonunique_prefix")).encode()
+        path = tmp_path / "mutant.json"
+        seen = set()
+        for _ in range(300):
+            path.write_bytes(self.mutate(rng, base))
+            for argv in (
+                ("validate", str(path)),
+                ("analyze", str(path), "--json"),
+                ("extend", str(path)),
+            ):
+                code, out, err = run(capsys, *argv)
+                assert code in (0, 2, 3, 4), (argv, path.read_bytes())
+                assert "Traceback" not in out + err
+                seen.add(code)
+        assert {0, 2} <= seen

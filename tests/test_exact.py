@@ -1,5 +1,7 @@
 """Exact solvers: maximum matching, minimum vertex cover, duality report."""
 
+import itertools
+
 import pytest
 
 from kphall import (
@@ -148,6 +150,61 @@ class TestDualityReport:
             r = duality_report(h)
             assert r.alpha_prime <= r.beta
             assert r.alpha_prime <= min(h.part_sizes)
+
+
+def _past_the_guard(sizes, p, count=10):
+    """The first ``count`` seeded gen_random instances with 41-70 edges."""
+    params = GeneratorParams(k=len(sizes), part_sizes=sizes, edge_probability=p)
+    instances = (gen_random(params, seed) for seed in itertools.count())
+    return list(
+        itertools.islice((h for h in instances if 41 <= len(h.edges) <= 70), count)
+    )
+
+
+@pytest.mark.parametrize(
+    "sizes, p",
+    # sparse enough that some instances have alpha' < t (k = 2, 4) or a
+    # gap alpha' < beta (k = 3, 4)
+    [((16, 16), 0.2), ((9, 9, 9), 0.08), ((6, 6, 6, 6), 0.04)],
+)
+def test_duality_report_matches_ilp(sizes, p):
+    # Independent oracle past the 40/40 guard: alpha' and beta as 0/1
+    # integer programs over the vertex-edge incidence matrix (HiGHS).
+    optimize = pytest.importorskip("scipy.optimize")
+    import numpy as np
+
+    reports = []
+    for h in _past_the_guard(sizes, p):
+        r = duality_report(h, force=True)
+        reports.append(r)
+        vertices = [v for part in h.parts for v in part]
+        incidence = np.array([[v in e for e in h.edges] for v in vertices], dtype=float)
+        n_edges, n_vertices = incidence.shape[1], incidence.shape[0]
+        matching = optimize.milp(
+            -np.ones(n_edges),
+            constraints=optimize.LinearConstraint(incidence, ub=1),
+            integrality=np.ones(n_edges),
+            bounds=optimize.Bounds(0, 1),
+        )
+        cover = optimize.milp(
+            np.ones(n_vertices),
+            constraints=optimize.LinearConstraint(incidence.T, lb=1),
+            integrality=np.ones(n_vertices),
+            bounds=optimize.Bounds(0, 1),
+        )
+        assert matching.success and cover.success
+        assert r.alpha_prime == round(-matching.fun)
+        assert r.beta == round(cover.fun)
+        # Both witnesses are feasible points of their programs, at the optimum.
+        chosen = set(r.max_matching_witness.edges)
+        x = np.array([e in chosen for e in h.edges], dtype=float)
+        assert (incidence @ x <= 1).all() and x.sum() == r.alpha_prime
+        in_cover = set(r.min_cover_witness)
+        y = np.array([v in in_cover for v in vertices], dtype=float)
+        assert (incidence.T @ y >= 1).all() and y.sum() == r.beta
+        assert r.has_t_matching == (r.alpha_prime == h.t)
+        assert r.konig_equality == (r.alpha_prime == r.beta == h.t)
+    assert any(not r.konig_equality for r in reports)
 
 
 class TestSizeGuard:

@@ -1,4 +1,4 @@
-"""Core data model: validation, prefix traces, submaximal edges, neighborhoods."""
+"""Core data model: validation, prefix traces and their neighborhoods."""
 
 import pytest
 
@@ -15,9 +15,8 @@ from kphall.hypergraph import (
     neighborhood_of_set,
     prefix_traces,
     rotate_parts,
-    submaximal_edges,
 )
-from conftest import labels
+from conftest import labels, vertex
 
 PARTS_A = [["x1", "x2"], ["y1", "y2"], ["z1", "z2"]]
 EDGES_A = [
@@ -107,75 +106,60 @@ class TestGeneratedSubhypergraph:
     def test_prefix_traces_gap(self, gap):
         assert labels(prefix_traces(gap)) == [["1", "3"], ["2", "3"], ["2", "4"]]
 
-
-class TestSubmaximalEdges:
-    def test_count_nonunique(self, nonunique):
-        assert len(submaximal_edges(nonunique)) == 10
-
-    def test_count_gap(self, gap):
-        subs = submaximal_edges(gap)
-        assert len(subs) == 9
-        assert list(subs) == sorted(subs)
-        assert labels(subs) == [
-            ["1", "3"],
-            ["1", "5"],
-            ["2", "3"],
-            ["2", "4"],
-            ["2", "5"],
-            ["2", "6"],
-            ["3", "5"],
-            ["3", "6"],
-            ["4", "5"],
-        ]
-
-    def test_single_edge(self, single_edge):
-        assert len(submaximal_edges(single_edge)) == 3
+    def test_prefix_traces_single_edge(self, single_edge):
+        assert len(prefix_traces(single_edge)) == 1
 
 
 class TestNeighborhood:
     def test_known_pair(self, nonunique):
-        e = [nonunique.vertex("x2"), nonunique.vertex("y1")]
+        e = [vertex(nonunique, "x2"), vertex(nonunique, "y1")]
         assert [v.label for v in neighborhood(nonunique, e)] == ["z2"]
 
     def test_known_pair_gap(self, gap):
-        e = [gap.vertex("1"), gap.vertex("3")]
+        e = [vertex(gap, "1"), vertex(gap, "3")]
         assert [v.label for v in neighborhood(gap, e)] == ["5"]
 
     def test_non_submaximal_is_empty(self, nonunique):
-        e = [nonunique.vertex("x2"), nonunique.vertex("z1")]
+        e = [vertex(nonunique, "x2"), vertex(nonunique, "z1")]
         assert neighborhood(nonunique, e) == ()
+
+    def test_only_prefix_traces_have_neighbors(self, gap):
+        # {2, 5} lies in the edge {2, 4, 5}, but 5 is a last-part vertex, so
+        # {2, 5} is no prefix trace and N({2, 5}) is empty.
+        e = [vertex(gap, "2"), vertex(gap, "5")]
+        assert neighborhood(gap, e) == ()
 
     def test_wrong_arity(self, nonunique):
         with pytest.raises(WrongArityError):
-            neighborhood(nonunique, [nonunique.vertex("x1")])
+            neighborhood(nonunique, [vertex(nonunique, "x1")])
 
     def test_same_part(self, nonunique):
         with pytest.raises(SamePartError):
-            neighborhood(nonunique, [nonunique.vertex("x1"), nonunique.vertex("x2")])
+            neighborhood(nonunique, [vertex(nonunique, "x1"), vertex(nonunique, "x2")])
 
     def test_union_violating_set(self, nonunique):
         pairs = [
-            [nonunique.vertex("x2"), nonunique.vertex("y1")],
-            [nonunique.vertex("x1"), nonunique.vertex("y2")],
+            [vertex(nonunique, "x2"), vertex(nonunique, "y1")],
+            [vertex(nonunique, "x1"), vertex(nonunique, "y2")],
         ]
         assert [v.label for v in neighborhood_of_set(nonunique, pairs)] == ["z2"]
 
     def test_union_satisfying_set(self, nonunique):
         pairs = [
-            [nonunique.vertex("x1"), nonunique.vertex("y1")],
-            [nonunique.vertex("x2"), nonunique.vertex("y2")],
+            [vertex(nonunique, "x1"), vertex(nonunique, "y1")],
+            [vertex(nonunique, "x2"), vertex(nonunique, "y2")],
         ]
         assert [v.label for v in neighborhood_of_set(nonunique, pairs)] == ["z1", "z2"]
 
     def test_empty_set(self, nonunique):
         assert neighborhood_of_set(nonunique, []) == ()
 
-    def test_every_edge_vertex_in_neighborhood_of_rest(self, nonunique, gap):
+    def test_last_vertex_in_neighborhood_of_trace(self, nonunique, gap):
         for h in (nonunique, gap):
             for e in h.edges:
-                for v in e:
-                    rest = [u for u in e if u != v]
-                    assert v in neighborhood(h, rest)
+                assert e[-1] in neighborhood(h, e[:-1])
+                for v in e[:-1]:
+                    assert neighborhood(h, [u for u in e if u != v]) == ()
 
 
 class TestRotateParts:

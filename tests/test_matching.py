@@ -19,11 +19,11 @@ from kphall.matching import (
     max_bipartite_matching,
     sdr_instance,
 )
-from conftest import labels
+from conftest import labels, vertex
 
 
 def vertex_tuple(h, names):
-    return tuple(sorted(h.vertex(x) for x in names))
+    return tuple(sorted(vertex(h, x) for x in names))
 
 
 def prefix_matching(h, *edges):
@@ -90,7 +90,7 @@ class TestEnumeratePerfectMatchings:
 
 class TestMaxBipartiteMatching:
     def _inst(self, h, adjacency):
-        return tuple(tuple(h.vertex(x) for x in vs) for vs in adjacency.values())
+        return tuple(tuple(vertex(h, x) for x in vs) for vs in adjacency.values())
 
     def test_competing_singletons(self, gap):
         inst = self._inst(gap, {("1", "3"): ("5",), ("2", "4"): ("5",)})

@@ -24,7 +24,7 @@ from kphall import (
     serialize_instance,
 )
 from kphall.errors import NotPerfectPrefixMatchingError
-from kphall.hypergraph import neighborhood_of_set, submaximal_edges
+from kphall.hypergraph import neighborhood_of_set, prefix_traces
 from kphall.matching import (
     MATCHING_EXISTS,
     NO_MATCHING,
@@ -53,8 +53,8 @@ def instances(draw, min_k=2, max_k=4, max_part=3, max_edges=14, min_edges=1):
 
 
 @st.composite
-def planted_instances(draw, max_k=4, max_t=4):
-    k = draw(st.integers(2, max_k))
+def planted_instances(draw, min_k=2, max_k=4, max_t=4):
+    k = draw(st.integers(min_k, max_k))
     t = draw(st.integers(1, max_t))
     last = draw(st.integers(1, max_t))
     density = draw(st.floats(0.0, 1.0, allow_nan=False))
@@ -72,20 +72,28 @@ def planted_instances(draw, max_k=4, max_t=4):
 
 
 @given(instances())
-def test_submaximal_edges_have_neighbors(h):
-    for sub in submaximal_edges(h):
-        assert len(sub) == h.k - 1
-        assert len(neighborhood(h, sub)) >= 1
+def test_prefix_traces_have_neighbors(h):
+    traces = prefix_traces(h)
+    assert traces == tuple(dict.fromkeys(e[:-1] for e in h.edges))
+    for trace in traces:
+        assert len(trace) == h.k - 1
+        nb = neighborhood(h, trace)
+        assert len(nb) >= 1
+        assert all(v.part == h.k - 1 for v in nb)
 
 
 @given(instances())
 def test_edge_vertex_completes_its_rest(h):
+    # Only the last-part vertex does: any other rest holds a last-part vertex,
+    # so it is no prefix trace and has no neighbors.
     for e in h.edges:
         for v in e:
-            rest = [u for u in e if u != v]
-            nb = neighborhood(h, rest)
-            assert v in nb
-            assert all(u.part == v.part for u in nb)
+            nb = neighborhood(h, [u for u in e if u != v])
+            if v.part == h.k - 1:
+                assert v in nb
+                assert all(u.part == v.part for u in nb)
+            else:
+                assert nb == ()
 
 
 @given(instances())
@@ -135,10 +143,10 @@ def test_extension_size_law(h):
     analysis = analyze_matching(h, m)
     report, ext = analysis.hall, analysis.extension
     assert len(ext) == report.t - report.deficiency
-    prefix_traces = set(m.edges)
+    taken = set(m.edges)
     for e in ext:
         assert h.has_edge(e)
-        assert tuple(v for v in e if v.part < h.k - 1) in prefix_traces
+        assert tuple(v for v in e if v.part < h.k - 1) in taken
 
 
 @settings(max_examples=60, deadline=None)
@@ -209,25 +217,28 @@ def test_enumeration_and_matching_are_repeatable(h):
 
 
 def _scan_neighborhood(h, vs):
-    """Reference: every edge containing ``vs``, scanned one by one."""
+    """Reference: the last-part vertices of every edge containing ``vs``."""
     need = set(vs)
-    found = {v for e in h.edges if need <= set(e) for v in e if v not in need}
+    last = h.k - 1
+    found = {
+        v for e in h.edges if need <= set(e) for v in e
+        if v not in need and v.part == last
+    }
     return tuple(sorted(found))
 
 
 @settings(max_examples=80, deadline=None)
 @given(instances())
 def test_neighborhood_matches_edge_scan(h):
-    subs = submaximal_edges(h)
-    for sub in subs:
-        assert neighborhood(h, sub) == _scan_neighborhood(h, sub)
-    # every (k-1)-set with one vertex in each of k-1 distinct parts, most of
-    # them not submaximal edges, given in reverse order
+    traces = set(prefix_traces(h))
+    # every (k-1)-set with one vertex in each of k-1 distinct parts, last
+    # part included, given in reverse order: only prefix traces have
+    # neighbors, and those are their last-part completions
     for chosen_parts in itertools.combinations(h.parts, h.k - 1):
         for vs in itertools.product(*chosen_parts):
             expected = _scan_neighborhood(h, vs)
             assert neighborhood(h, vs[::-1]) == expected
-            assert (tuple(sorted(vs)) in subs) == bool(expected)
+            assert (tuple(sorted(vs)) in traces) == bool(expected)
 
 
 @settings(max_examples=80, deadline=None)
@@ -548,3 +559,59 @@ def test_sdr_size_matches_networkx_hopcroft_karp(h):
         assert report.t == h.t > 20
         assert report.t - report.deficiency == len(pairs) // 2
         assert len(analysis.extension) == len(pairs) // 2
+
+
+@st.composite
+def square_k3_instances(draw, max_t=5):
+    """k = 3 instances with |V1| = |V2|, so their prefix can have matchings."""
+    t = draw(st.integers(1, max_t))
+    last = draw(st.integers(1, 3))
+    universe = list(itertools.product(range(t), range(t), range(last)))
+    chosen = draw(
+        st.lists(st.sampled_from(universe), min_size=t, max_size=3 * t, unique=True)
+    )
+    parts = [[f"p{i}v{j}" for j in range(s)] for i, s in enumerate((t, t, last))]
+    edges = [[parts[i][j] for i, j in enumerate(combo)] for combo in chosen]
+    return build_hypergraph(parts, edges, strict=False)
+
+
+def _k3_prefix_count_up_to_2(nx, h):
+    """min(#prefix perfect matchings, 2) for k = 3, by Hopcroft-Karp.
+
+    The prefix is the bipartite graph of first/second-part pairs lying in an
+    edge.  It has a perfect matching M iff a maximum matching saturates both
+    sides, and a second one iff M minus some edge still has one.
+    """
+    left, right = h.parts[0], h.parts[1]
+    if len(left) != len(right):
+        return 0
+    pairs = {(e[0], e[1]) for e in h.edges}
+
+    def perfect(edges):
+        graph = nx.Graph()
+        graph.add_nodes_from(left + right)
+        graph.add_edges_from(edges)
+        m = nx.algorithms.bipartite.hopcroft_karp_matching(graph, top_nodes=left)
+        return m if len(m) == 2 * len(left) else None
+
+    m = perfect(pairs)
+    if m is None:
+        return 0
+    if any(perfect(pairs - {(u, m[u])}) for u in left):
+        return 2
+    return 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(
+        square_k3_instances(),
+        planted_instances(min_k=3, max_k=3, max_t=6),
+    )
+)
+def test_k3_prefix_matchings_match_networkx(h):
+    nx = pytest.importorskip("networkx")
+    found = enumerate_perfect_matchings(h, limit=2)
+    assert len(found) == _k3_prefix_count_up_to_2(nx, h)
+    if h.metadata and h.metadata["generator"]["mode"] == "planted":
+        assert len(found) == 1
