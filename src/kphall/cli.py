@@ -4,13 +4,15 @@ Subcommands: validate, analyze, extend, generate, verify.  Human-readable
 text by default; ``--json`` switches to a stable machine-readable schema.
 
 Exit codes: 0 success, 2 input or configuration error, 3 criterion not
-applicable (extend without a prefix perfect matching), 4 write failure.
+applicable (extend without a prefix perfect matching), 4 write failure,
+including a stdout whose reader has gone.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -361,4 +363,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point the descriptor at the null device,
+        # so the flush at interpreter exit cannot fail again, and report a
+        # write failure.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = EXIT_WRITE
+    raise SystemExit(code)

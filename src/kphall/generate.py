@@ -3,7 +3,10 @@
 All randomness comes from a counter-based stream: every decision hashes the
 64-bit seed together with a fixed path of counters, so values never depend
 on evaluation order and equal (params, seed) always produce byte-identical
-instances.
+instances.  Value i of the stream at (seed, path) is the first 8 bytes of
+SHA-256 over the encoded (seed, *path, i), scaled to [0, 1); `_stream`
+yields values 0..n-1 of one path, hashing the path's prefix once and
+copying that state per value.
 
 Two modes:
 
@@ -11,18 +14,20 @@ Two modes:
   independently with a fixed probability.
 * ``gen_planted_unique``: prefix traces are the diagonal plus extra tuples
   whose first coordinate is minimal ("staircase"), which forces the prefix
-  perfect matching to be unique; each trace is then attached to one or more
-  last-part vertices.  The output is re-checked by enumeration anyway.
+  perfect matching to be unique; each trace is then attached to the
+  last-part vertices with the lowest draws.  The output is re-checked by
+  enumeration anyway.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 import struct
 from dataclasses import dataclass
+from itertools import product
+from math import prod
 from string import ascii_lowercase
-from typing import Callable
+from typing import Iterator
 
 from .errors import RetryExhaustedError
 from .hypergraph import KPartiteHypergraph, build_hypergraph
@@ -38,7 +43,12 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_TWO64 = float(1 << 64)
 _PLANTED_RETRIES = 100
+# an integer path item: b"i" then the signed 64-bit big-endian value
+_COUNTER = struct.Struct(">cq")
+# a value's head: the first 8 digest bytes as an unsigned big-endian int
+_HEAD = struct.Struct(">Q")
 
 
 def _hasher(seed: int, *path: int | str):
@@ -51,8 +61,7 @@ def _hasher(seed: int, *path: int | str):
             hasher.update(struct.pack(">I", len(data)))
             hasher.update(data)
         else:
-            hasher.update(b"i")
-            hasher.update(struct.pack(">q", item))
+            hasher.update(_COUNTER.pack(b"i", item))
     return hasher
 
 
@@ -60,16 +69,19 @@ def _digest(seed: int, *path: int | str) -> bytes:
     return _hasher(seed, *path).digest()
 
 
-def _draws(seed: int, *path: int | str) -> Callable[[int], float]:
-    """``i -> unit_float(seed, *path, i)``, hashing the shared prefix once."""
-    prefix = _hasher(seed, *path)
+def _stream(prefix, n: int) -> Iterator[float]:
+    """The values ``unit_float(seed, *path, i)`` for i = 0..n-1, in order.
 
-    def draw(i: int) -> float:
-        hasher = prefix.copy()
-        hasher.update(b"i" + struct.pack(">q", i))
-        return int.from_bytes(hasher.digest()[:8], "big") / float(1 << 64)
-
-    return draw
+    ``prefix`` is ``_hasher(seed, *path)``; it is hashed once and copied per
+    value, and ``_COUNTER`` encodes ``i`` exactly as ``_hasher`` does.
+    """
+    copy = prefix.copy
+    pack = _COUNTER.pack
+    head = _HEAD.unpack_from
+    for i in range(n):
+        hasher = copy()
+        hasher.update(pack(b"i", i))
+        yield head(hasher.digest())[0] / _TWO64
 
 
 def unit_float(seed: int, *path: int | str) -> float:
@@ -124,7 +136,8 @@ def gen_random(params: GeneratorParams, seed: int) -> KPartiteHypergraph:
     """Independent-edge random instance; lenient, so isolated vertices warn.
 
     Possible edges are ranked lexicographically and each gets its own
-    counter, so the instance is a pure function of (params, seed).
+    counter, so the instance is a pure function of (params, seed).  The
+    candidates are streamed, never held in a list.
     """
     params._check_shape()
     p = params.edge_probability
@@ -133,11 +146,10 @@ def gen_random(params: GeneratorParams, seed: int) -> KPartiteHypergraph:
 
     labels = _part_labels(params.k, params.part_sizes)
     edges = []
-    ranges = [range(s) for s in params.part_sizes]
-    edge_draw = _draws(seed, "edge")
-    for rank, combo in enumerate(itertools.product(*ranges)):
-        if edge_draw(rank) < p:
-            edges.append([labels[i][j] for i, j in enumerate(combo)])
+    values = _stream(_hasher(seed, "edge"), prod(params.part_sizes))
+    for combo, value in zip(product(*labels), values):
+        if value < p:
+            edges.append(list(combo))
     metadata = {
         "generator": {
             "mode": "random",
@@ -151,11 +163,15 @@ def gen_random(params: GeneratorParams, seed: int) -> KPartiteHypergraph:
 
 
 def _staircase_tuples(t: int, coords: int) -> list[tuple[int, ...]]:
-    # first coordinate <= every other coordinate
+    """The tuples in range(t)^coords whose first coordinate is minimal.
+
+    In lexicographic order: for each first coordinate c, the other
+    coordinates run over range(c, t) in lexicographic order.
+    """
     return [
-        tup
-        for tup in itertools.product(range(t), repeat=coords)
-        if all(tup[0] <= c for c in tup[1:])
+        (c,) + rest
+        for c in range(t)
+        for rest in product(range(c, t), repeat=coords - 1)
     ]
 
 
@@ -188,26 +204,32 @@ def gen_planted_unique(params: GeneratorParams, seed: int) -> KPartiteHypergraph
     coords = params.k - 1
     labels = _part_labels(params.k, params.part_sizes)
     candidates = _staircase_tuples(t, coords)
+    diagonal = {(c,) * coords for c in range(t)}
+    max_attach = min(attachments, last_size)
+    last_labels = labels[-1]
 
     for attempt in range(_PLANTED_RETRIES):
-        traces = []
-        trace_draw = _draws(seed, "trace", attempt)
-        for rank, tup in enumerate(candidates):
-            diagonal = all(c == tup[0] for c in tup)
-            if diagonal or trace_draw(rank) < density:
-                traces.append(tup)
+        # value i belongs to candidate i; the diagonal is kept whatever its value
+        values = _stream(_hasher(seed, "trace", attempt), len(candidates))
+        traces = [
+            tup
+            for tup, value in zip(candidates, values)
+            if value < density or tup in diagonal
+        ]
 
         edges = []
-        max_attach = min(attachments, last_size)
-        nattach_draw = _draws(seed, "nattach", attempt)
-        for rank, tup in enumerate(traces):
-            count = 1 + int(nattach_draw(rank) * max_attach)
-            attach_draw = _draws(seed, "attach", attempt, rank)
-            scored = sorted(range(last_size), key=lambda j: (attach_draw(j), j))
-            for j in scored[:count]:
-                edges.append(
-                    [labels[i][c] for i, c in enumerate(tup)] + [labels[-1][j]]
-                )
+        nattach = _stream(_hasher(seed, "nattach", attempt), len(traces))
+        attach = _hasher(seed, "attach", attempt)
+        for rank, (tup, value) in enumerate(zip(traces, nattach)):
+            count = 1 + int(value * max_attach)
+            # the stream at (seed, "attach", attempt, rank); its shared head
+            # is hashed once per attempt
+            prefix = attach.copy()
+            prefix.update(_COUNTER.pack(b"i", rank))
+            scored = sorted(zip(_stream(prefix, last_size), range(last_size)))
+            trace_labels = [labels[i][c] for i, c in enumerate(tup)]
+            for _, j in scored[:count]:
+                edges.append(trace_labels + [last_labels[j]])
 
         metadata = {
             "generator": {

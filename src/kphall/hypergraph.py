@@ -6,7 +6,11 @@ an instance canonicalizes it: labels are sorted within each part, every edge
 is sorted by part, and the edge list is sorted lexicographically by local
 indices.  All downstream tie-breaking (enumeration order, witnesses, report
 bytes) inherits from this canonical order, so equal inputs always produce
-identical outputs.
+identical outputs.  The build makes one pass over the edges: it resolves
+and sorts each edge's vertices and keys the edge by its local indices read
+as one mixed-radix integer, which dedupes and orders the edge list.  Only
+an edge that is not one vertex per part takes a slower path, which names
+the fault.
 
 The analysis needs one subhypergraph, the one generated on the first k-1
 parts.  Its edges, the prefix traces, are the edges with their last-part
@@ -24,8 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from itertools import chain, groupby
+from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 from .errors import (
     DuplicateLabelError,
@@ -129,8 +133,29 @@ class KPartiteHypergraph:
         return tuple(masks), tuple(part_masks)
 
 
-def _canonical_edge_key(edge: Edge) -> tuple[int, ...]:
-    return tuple([v.index for v in edge])
+def _reject_edge(
+    labels: list[str], by_label: Mapping[str, Vertex], k: int
+) -> NoReturn:
+    """Raise the error for an edge that does not take one vertex per part."""
+    resolved = []
+    for lab in labels:
+        v = by_label.get(lab)
+        if v is None:
+            raise ValueError(f"edge references undeclared label {lab!r}")
+        resolved.append(v)
+    distinct = set(resolved)
+    if len(distinct) != k or len(labels) != k:
+        raise NotUniformError(
+            f"edge {sorted(labels)} has {len(distinct)} vertices, expected {k}"
+        )
+    per_part = [0] * k
+    for v in distinct:
+        per_part[v.part] += 1
+    # k distinct vertices, not one per part: some part holds two or more
+    bad = next(i for i, c in enumerate(per_part) if c > 1)
+    raise NotPartiteError(
+        f"edge {sorted(labels)} has {per_part[bad]} vertices in part {bad}"
+    )
 
 
 def build_hypergraph(
@@ -143,8 +168,11 @@ def build_hypergraph(
     """Validate raw parts and edges and return the canonical instance.
 
     Labels are sorted within each part, edges are deduplicated and sorted.
-    Strict mode rejects isolated vertices; lenient mode records a warning
-    per isolated vertex instead.
+    An edge is valid when its vertices, sorted, lie in parts 0..k-1 in
+    turn.  Its key reads its local indices as the digits of one mixed-radix
+    integer, the last part's index lowest, so sorting keys sorts edges
+    lexicographically by local indices.  Strict mode rejects isolated
+    vertices; lenient mode records a warning per isolated vertex instead.
 
     Raises NotUniformError, NotPartiteError, DuplicateLabelError or
     IsolatedVertexError on invalid input.
@@ -168,33 +196,28 @@ def build_hypergraph(
         vertex_parts.append(vs)
         by_label.update((v.label, v) for v in vs)
 
-    canonical: set[Edge] = set()
+    # label -> its index times the product of the later parts' sizes
+    digit: dict[str, int] = {}
+    radix = 1
+    for part in reversed(vertex_parts):
+        digit.update((v.label, v.index * radix) for v in part)
+        radix *= len(part)
+
+    part_ids = list(range(k))
+    canonical: dict[int, list[Vertex]] = {}
     for raw_edge in edges:
         labels = [str(x) for x in raw_edge]
-        resolved = []
-        for lab in labels:
-            v = by_label.get(lab)
-            if v is None:
-                raise ValueError(f"edge references undeclared label {lab!r}")
-            resolved.append(v)
-        distinct = set(resolved)
-        if len(distinct) != k or len(labels) != k:
-            raise NotUniformError(
-                f"edge {sorted(labels)} has {len(distinct)} vertices, expected {k}"
-            )
-        per_part = [0] * k
-        for v in distinct:
-            per_part[v.part] += 1
-        if any(c != 1 for c in per_part):
-            bad = next(i for i, c in enumerate(per_part) if c > 1)
-            raise NotPartiteError(
-                f"edge {sorted(labels)} has {per_part[bad]} vertices in part {bad}"
-            )
-        canonical.add(tuple(sorted(distinct)))
+        try:
+            vs = sorted([by_label[lab] for lab in labels])
+        except KeyError:
+            _reject_edge(labels, by_label, k)
+        if [v.part for v in vs] != part_ids:
+            _reject_edge(labels, by_label, k)
+        canonical[sum([digit[lab] for lab in labels])] = vs
 
-    edge_list = tuple(sorted(canonical, key=_canonical_edge_key))
+    edge_list = tuple([tuple(canonical[key]) for key in sorted(canonical)])
 
-    covered = {v for e in edge_list for v in e}
+    covered = set(chain.from_iterable(edge_list))
     warnings = []
     for part in vertex_parts:
         for v in part:

@@ -79,6 +79,12 @@ def parse_instance(text: str, *, strict: bool = True) -> KPartiteHypergraph:
             raise SchemaError(f"part {i} must be a nonempty array")
         if not all(isinstance(x, str) for x in part):
             raise SchemaError(f"part {i} labels must be strings")
+        # JSON escapes can spell lone surrogates, which no report can print;
+        # edge labels must be declared, so checking the parts covers them
+        try:
+            "".join(part).encode("utf-8")
+        except UnicodeEncodeError:
+            raise SchemaError(f"part {i} labels must be encodable as UTF-8") from None
     declared = {x for part in parts for x in part}
     edges = raw["edges"]
     if not isinstance(edges, list):

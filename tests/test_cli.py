@@ -1,11 +1,15 @@
 """CLI surface: subcommands, exit codes, JSON output stability."""
 
 import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import kphall
 from kphall import fixture, serialize_instance
 from kphall.cli import main
 
@@ -69,6 +73,20 @@ class TestValidate:
         path.write_text('{"format_version": "1"}', "utf-8")
         code, _, err = run(capsys, "validate", str(path))
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["validate", "analyze", "extend"])
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_lone_surrogate_label(self, capsys, tmp_path, command, json_flag):
+        path = tmp_path / "surrogate.json"
+        path.write_text(
+            '{"format_version": "1", "k": 2, "parts": [["a\\ud800"], ["b"]],'
+            ' "edges": [["a\\ud800", "b"]]}',
+            "utf-8",
+        )
+        code, out, err = run(capsys, command, str(path), *json_flag)
+        assert code == 2
+        assert out == ""
+        assert err == "error: part 0 labels must be encodable as UTF-8\n"
 
 
 class TestAnalyze:
@@ -314,6 +332,33 @@ class TestGenerate:
         )
         assert code == 0
         assert json.loads(out)["k"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{gap}", "--json"],
+        # about 30 KB, so the pipe breaks inside a write, not at exit
+        ["generate", "random", "--sizes", "9,9,9", "--p", "1.0"],
+    ],
+)
+def test_closed_stdout_exits_4(gap_file, argv):
+    argv = [a.format(gap=gap_file) for a in argv]
+    env = dict(os.environ, PYTHONPATH=str(Path(kphall.__file__).parents[1]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "kphall", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 4
+    assert proc.stderr == b""
 
 
 class TestVerify:

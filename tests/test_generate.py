@@ -1,5 +1,6 @@
 """Seeded generators: determinism, densities, planted uniqueness."""
 
+import hashlib
 import itertools
 
 import pytest
@@ -13,7 +14,14 @@ from kphall import (
     prefix_hall_verdict,
     serialize_instance,
 )
-from kphall.generate import _draws, derive_seed, randbelow, unit_float
+from kphall.generate import (
+    _hasher,
+    _staircase_tuples,
+    _stream,
+    derive_seed,
+    randbelow,
+    unit_float,
+)
 from kphall.hypergraph import prefix_traces
 
 
@@ -157,6 +165,62 @@ class TestStream:
 
     def test_draws_match_unit_float(self):
         for path in [("edge",), ("trace", 3), ("attach", 0, 17)]:
-            draw = _draws(2**64 + 9, *path)
-            for i in [0, 1, 5, 2**40, -3]:
-                assert draw(i) == unit_float(2**64 + 9, *path, i)
+            values = list(_stream(_hasher(2**64 + 9, *path), 12))
+            assert values == [unit_float(2**64 + 9, *path, i) for i in range(12)]
+        assert list(_stream(_hasher(3, "edge"), 0)) == []
+
+
+# Each (generator, params, seed) below is serialized and hashed in order.
+# The digest was recorded from the per-value draws the stream replaced, so
+# any change to a generated byte fails this test.
+_RANDOM_SHAPES = [
+    (1, 3), (3, 2), (4, 4), (2, 3, 1), (3, 3, 3), (2, 4, 3), (2, 2, 2, 2), (3, 2, 3, 2)
+]
+# (k, t, last part size): last size 1, and last size below attachments = 3
+_PLANTED_SHAPES = [
+    (2, 1, 1), (2, 4, 2), (2, 5, 7), (3, 1, 1), (3, 3, 1),
+    (3, 4, 2), (3, 5, 5), (4, 2, 1), (4, 3, 3), (4, 4, 2),
+]
+_STREAM_DIGEST = "ef39c4c97f0233bc802d154aa73e48b6c7e6a2a4ebc9952663f73f404dd02d06"
+
+
+def _stream_cases():
+    for sizes in _RANDOM_SHAPES:
+        for p in (0.1, 0.5, 0.9):
+            for seed in range(6):
+                params = GeneratorParams(
+                    k=len(sizes), part_sizes=sizes, edge_probability=p
+                )
+                yield gen_random, params, seed * 7919 + 3
+    for k, t, last in _PLANTED_SHAPES:
+        for density in (0.0, 0.4, 0.9):
+            for attach in (1, 3):
+                for seed in range(3):
+                    params = GeneratorParams(
+                        k=k,
+                        part_sizes=(t,) * (k - 1) + (last,),
+                        trace_density=density,
+                        attachments_per_trace=attach,
+                    )
+                    yield gen_planted_unique, params, seed * 104729 + 11
+
+
+def test_generator_stream_is_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for gen, params, seed in _stream_cases():
+        digest.update(serialize_instance(gen(params, seed)).encode("utf-8"))
+        count += 1
+    assert count == 324
+    assert digest.hexdigest() == _STREAM_DIGEST
+
+
+@pytest.mark.parametrize("coords", [1, 2, 3, 4])
+def test_staircase_matches_filtered_reference(coords):
+    for t in range(1, 9):
+        reference = [
+            tup
+            for tup in itertools.product(range(t), repeat=coords)
+            if all(tup[0] <= c for c in tup[1:])
+        ]
+        assert _staircase_tuples(t, coords) == reference

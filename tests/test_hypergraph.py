@@ -1,6 +1,9 @@
 """Core data model: validation, prefix traces and their neighborhoods."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kphall import Vertex, build_hypergraph, neighborhood
 from kphall.errors import (
@@ -91,6 +94,106 @@ class TestBuildValidate:
         shuffled_edges = [list(reversed(e)) for e in reversed(EDGES_A)]
         h2 = build_hypergraph(shuffled_parts, shuffled_edges)
         assert h1 == h2
+
+    @pytest.mark.parametrize(
+        "edge, error, message",
+        [
+            (["x1", "y1"], NotUniformError, "['x1', 'y1'] has 2 vertices, expected 3"),
+            (
+                ["x1", "y1", "z1", "z2"],
+                NotUniformError,
+                "['x1', 'y1', 'z1', 'z2'] has 4 vertices, expected 3",
+            ),
+            (
+                ["z1", "y1", "y1"],
+                NotUniformError,
+                "['y1', 'y1', 'z1'] has 2 vertices, expected 3",
+            ),
+            (
+                ["x1", "x1", "y1", "z1"],
+                NotUniformError,
+                "['x1', 'x1', 'y1', 'z1'] has 3 vertices, expected 3",
+            ),
+            (
+                ["x2", "y2", "x1"],
+                NotPartiteError,
+                "['x1', 'x2', 'y2'] has 2 vertices in part 0",
+            ),
+            (
+                ["y1", "z2", "z1"],
+                NotPartiteError,
+                "['y1', 'z1', 'z2'] has 2 vertices in part 2",
+            ),
+            (["x1", "y1", "nope"], ValueError, "references undeclared label 'nope'"),
+            (["nope", "y1"], ValueError, "references undeclared label 'nope'"),
+        ],
+    )
+    def test_malformed_edge_error(self, edge, error, message):
+        # The first malformed edge raises, wherever it stands in the list.
+        for position in (0, 2, len(EDGES_A)):
+            edges = EDGES_A[:position] + [edge] + EDGES_A[position:]
+            with pytest.raises(error) as info:
+                build_hypergraph(PARTS_A, edges)
+            assert type(info.value) is error
+            assert str(info.value) == "edge " + message
+
+
+def _reference_build(parts, edges):
+    """Canonical parts, edges and warnings by the definition, for comparison."""
+    vparts = tuple(
+        tuple(Vertex(i, j, lab) for j, lab in enumerate(sorted(part)))
+        for i, part in enumerate(parts)
+    )
+    by_label = {v.label: v for part in vparts for v in part}
+    unique = {tuple(sorted(by_label[lab] for lab in e)) for e in edges}
+    canonical = tuple(sorted(unique, key=lambda e: [v.index for v in e]))
+    covered = {v for e in canonical for v in e}
+    warnings = [
+        f"isolated vertex: {v.label}"
+        for part in vparts
+        for v in part
+        if v not in covered
+    ]
+    if not canonical:
+        warnings.append("degenerate: instance has no edges")
+    return vparts, canonical, tuple(warnings)
+
+
+@st.composite
+def raw_instances(draw):
+    """Parts and edges in arbitrary order, with duplicate edges.
+
+    Label numbers are not zero-padded, so their sorted order differs from
+    their numeric order.
+    """
+    k = draw(st.integers(2, 4))
+    sizes = [draw(st.integers(1, 4)) for _ in range(k)]
+    parts = []
+    for i, size in enumerate(sizes):
+        numbers = draw(
+            st.lists(st.integers(0, 30), min_size=size, max_size=size, unique=True)
+        )
+        parts.append([f"{'abcd'[i]}{n}" for n in numbers])
+    universe = list(itertools.product(*parts))
+    chosen = draw(st.lists(st.sampled_from(universe), max_size=24))
+    edges = [draw(st.permutations(list(e))) for e in chosen]
+    return parts, edges
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw_instances(), st.booleans())
+def test_build_matches_reference_canonicalization(raw, strict):
+    parts, edges = raw
+    vparts, canonical, warnings = _reference_build(parts, edges)
+    isolated = any(w.startswith("isolated") for w in warnings)
+    if strict and isolated:
+        with pytest.raises(IsolatedVertexError):
+            build_hypergraph(parts, edges, strict=True)
+        return
+    h = build_hypergraph(parts, edges, strict=strict)
+    assert h.parts == vparts
+    assert h.edges == canonical
+    assert h.warnings == warnings
 
 
 class TestGeneratedSubhypergraph:
