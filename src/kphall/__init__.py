@@ -12,9 +12,9 @@ campaign keep every claim machine-checkable.
 from .analysis import analysis_jsonable, analyze_instance
 from .campaign import CampaignConfig, run_campaign
 from .errors import KphallError
-from .exact import alpha_prime, beta, duality_report
+from .exact import alpha_prime, duality_report
 from .generate import GeneratorParams, gen_planted_unique, gen_random
-from .hypergraph import KPartiteHypergraph, Vertex, build_hypergraph, neighborhood
+from .hypergraph import KPartiteHypergraph, build_hypergraph, neighborhood
 from .instance_io import fixture, parse_instance, serialize_instance
 from .matching import (
     Matching,
@@ -31,12 +31,10 @@ __all__ = [
     "KPartiteHypergraph",
     "KphallError",
     "Matching",
-    "Vertex",
     "alpha_prime",
     "analysis_jsonable",
     "analyze_instance",
     "analyze_matching",
-    "beta",
     "build_hypergraph",
     "duality_report",
     "enumerate_perfect_matchings",

@@ -8,10 +8,10 @@ order is fixed, so identical inputs render byte-identical reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterable
 
 from .exact import DualityReport, duality_report
-from .hypergraph import Edge, KPartiteHypergraph, neighborhood_of_set
+from .hypergraph import KPartiteHypergraph, neighborhood_of_set
 from .matching import HallReport, HallVerdict, Matching, prefix_hall_verdict
 
 __all__ = [
@@ -38,7 +38,9 @@ def analyze_instance(
     h: KPartiteHypergraph, *, force: bool = False, limit: int = 2
 ) -> AnalysisReport:
     """Run the prefix criterion and the exact solvers on one instance."""
-    # The solvers' size guard must raise before the enumeration does any work.
+    # A bad limit and the solvers' size guard must raise before any search.
+    if limit < 1:
+        raise ValueError("limit must be >= 1")
     duality = duality_report(h, force=force)
     return AnalysisReport(
         hypergraph=h,
@@ -47,12 +49,13 @@ def analyze_instance(
     )
 
 
-def edge_labels(edge: Edge) -> list[str]:
-    return [v.label for v in edge]
+def edge_labels(h: KPartiteHypergraph, edge: Iterable[int]) -> list[str]:
+    """The labels of the vertex ids in ``edge``, in order."""
+    return [h.labels[v] for v in edge]
 
 
-def matching_labels(m: Matching) -> list[list[str]]:
-    return [edge_labels(e) for e in m.edges]
+def matching_labels(h: KPartiteHypergraph, m: Matching) -> list[list[str]]:
+    return [edge_labels(h, e) for e in m.edges]
 
 
 def _hall_jsonable(h: KPartiteHypergraph, report: HallReport) -> dict[str, Any]:
@@ -62,12 +65,12 @@ def _hall_jsonable(h: KPartiteHypergraph, report: HallReport) -> dict[str, Any]:
         "max_sdr": report.max_sdr,
         "deficiency": report.deficiency,
         "witness_violator": (
-            None if witness is None else [edge_labels(s) for s in witness]
+            None if witness is None else [edge_labels(h, s) for s in witness]
         ),
         "witness_neighborhood": (
             None
             if witness is None
-            else [v.label for v in neighborhood_of_set(h, witness)]
+            else edge_labels(h, neighborhood_of_set(h, witness))
         ),
     }
 
@@ -82,27 +85,29 @@ def verdict_jsonable(h: KPartiteHypergraph, verdict: HallVerdict) -> dict[str, A
         "unique": verdict.unique,
         "matchings": [
             {
-                "prefix_matching": matching_labels(a.prefix_matching),
+                "prefix_matching": matching_labels(h, a.prefix_matching),
                 "hall": _hall_jsonable(h, a.hall),
-                "extension": matching_labels(a.extension),
+                "extension": matching_labels(h, a.extension),
                 "extension_size": len(a.extension),
             }
             for a in verdict.per_matching
         ],
         "conclusion": verdict.conclusion,
         "message": verdict.message,
-        "witness": None if verdict.witness is None else matching_labels(verdict.witness),
+        "witness": (
+            None if verdict.witness is None else matching_labels(h, verdict.witness)
+        ),
         "perfect_matching": verdict.perfect_matching,
     }
 
 
-def _duality_jsonable(report: DualityReport) -> dict[str, Any]:
+def _duality_jsonable(h: KPartiteHypergraph, report: DualityReport) -> dict[str, Any]:
     return {
         "alpha_prime": report.alpha_prime,
         "beta": report.beta,
         "t": report.t,
-        "max_matching_witness": matching_labels(report.max_matching_witness),
-        "min_cover_witness": [v.label for v in report.min_cover_witness],
+        "max_matching_witness": matching_labels(h, report.max_matching_witness),
+        "min_cover_witness": edge_labels(h, report.min_cover_witness),
         "has_t_matching": report.has_t_matching,
         "konig_equality": report.konig_equality,
     }
@@ -115,10 +120,10 @@ def analysis_jsonable(report: AnalysisReport) -> dict[str, Any]:
         "instance": {
             "k": h.k,
             "part_sizes": list(h.part_sizes),
-            "parts": [[v.label for v in part] for part in h.parts],
-            "edges": [[v.label for v in e] for e in h.edges],
+            "parts": [edge_labels(h, part) for part in h.parts],
+            "edges": [edge_labels(h, e) for e in h.edges],
             "warnings": list(h.warnings),
         },
         "prefix_criterion": verdict_jsonable(h, report.verdict),
-        "duality": _duality_jsonable(report.duality),
+        "duality": _duality_jsonable(h, report.duality),
     }

@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from .analysis import edge_labels
 from .errors import KphallError
 from .exact import alpha_prime, duality_report
 from .generate import (
@@ -101,13 +102,13 @@ def _check_defect_extension(h: KPartiteHypergraph) -> str | None:
     prefix_traces = set(chosen.prefix_matching.edges)
     for e in ext.edges:
         if not h.has_edge(e):
-            return f"extension edge {[v.label for v in e]} is not an edge of H"
+            return f"extension edge {edge_labels(h, e)} is not an edge of H"
         if seen & set(e):
             return "extension edges overlap"
         seen.update(e)
-        trace = tuple([v for v in e if v.part < h.k - 1])
+        trace = tuple([v for v in e if v not in h.parts[-1]])
         if trace not in prefix_traces:
-            return f"extension edge {[v.label for v in e]} does not extend the matching"
+            return f"extension edge {edge_labels(h, e)} does not extend the matching"
     return None
 
 

@@ -16,7 +16,7 @@ import os
 import sys
 from pathlib import Path
 
-from .analysis import analysis_jsonable, analyze_instance, matching_labels
+from .analysis import analysis_jsonable, analyze_instance, edge_labels, matching_labels
 from .campaign import (
     MODES,
     PROPERTY_NAMES,
@@ -27,9 +27,9 @@ from .campaign import (
 from .errors import KphallError, TooLargeError
 from .exact import DualityReport
 from .generate import GeneratorParams, gen_planted_unique, gen_random
-from .hypergraph import KPartiteHypergraph, rotate_parts
+from .hypergraph import Edge, KPartiteHypergraph, rotate_parts
 from .instance_io import parse_instance, serialize_instance
-from .matching import HallVerdict, prefix_hall_verdict
+from .matching import HallVerdict, Matching, prefix_hall_verdict
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -168,7 +168,15 @@ def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _format_verdict(verdict: HallVerdict) -> list[str]:
+def _edge_text(h: KPartiteHypergraph, edge: Edge) -> str:
+    return "{" + ",".join(edge_labels(h, edge)) + "}"
+
+
+def _matching_text(h: KPartiteHypergraph, m: Matching) -> str:
+    return " | ".join([_edge_text(h, e) for e in m.edges])
+
+
+def _format_verdict(h: KPartiteHypergraph, verdict: HallVerdict) -> list[str]:
     lines = []
     if not verdict.applicable:
         lines.append(f"prefix criterion: not applicable ({verdict.reason})")
@@ -180,24 +188,23 @@ def _format_verdict(verdict: HallVerdict) -> list[str]:
     lines.append(f"prefix perfect matchings: {count} ({uniq}), t={verdict.t}")
     for i, a in enumerate(verdict.per_matching, start=1):
         d = a.hall.deficiency
-        line = f"  M{i} = {a.prefix_matching}: deficiency {d}"
+        line = f"  M{i} = {_matching_text(h, a.prefix_matching)}: deficiency {d}"
         if a.hall.witness_violator is not None:
-            viol = ", ".join(
-                "{" + ",".join(v.label for v in s) + "}"
-                for s in a.hall.witness_violator
-            )
+            viol = ", ".join([_edge_text(h, s) for s in a.hall.witness_violator])
             line += f" (violator: {viol})"
-        line += f"; extension size {len(a.extension)}: {a.extension}"
+        ext = _matching_text(h, a.extension)
+        line += f"; extension size {len(a.extension)}: {ext}"
         lines.append(line)
     lines.append(f"conclusion: {verdict.message}")
     return lines
 
 
-def _format_duality(report: DualityReport) -> list[str]:
+def _format_duality(h: KPartiteHypergraph, report: DualityReport) -> list[str]:
+    witness = _matching_text(h, report.max_matching_witness)
     return [
-        f"alpha' = {report.alpha_prime} (witness: {report.max_matching_witness})",
+        f"alpha' = {report.alpha_prime} (witness: {witness})",
         "beta = {} (cover: {})".format(
-            report.beta, ", ".join(v.label for v in report.min_cover_witness)
+            report.beta, ", ".join(edge_labels(h, report.min_cover_witness))
         ),
         f"t = {report.t}; matching of size t: {'yes' if report.has_t_matching else 'no'}; "
         f"alpha' = beta = t: {'yes' if report.konig_equality else 'no'}",
@@ -233,9 +240,9 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     print(f"instance: k={h.k}, parts {list(h.part_sizes)}, {len(h.edges)} edges")
     for w in h.warnings:
         print(f"warning: {w}")
-    for line in _format_verdict(report.verdict):
+    for line in _format_verdict(h, report.verdict):
         print(line)
-    for line in _format_duality(report.duality):
+    for line in _format_duality(h, report.duality):
         print(line)
     return EXIT_OK
 
@@ -252,18 +259,18 @@ def _cmd_extend(args: argparse.Namespace) -> int:
         _print_json(
             {
                 "report_version": "1",
-                "prefix_matching": matching_labels(chosen.prefix_matching),
+                "prefix_matching": matching_labels(h, chosen.prefix_matching),
                 "deficiency": chosen.hall.deficiency,
                 "size": len(extension),
-                "edges": matching_labels(extension),
+                "edges": matching_labels(h, extension),
             }
         )
     else:
         print(
-            f"prefix matching {chosen.prefix_matching} "
+            f"prefix matching {_matching_text(h, chosen.prefix_matching)} "
             f"(deficiency {chosen.hall.deficiency})"
         )
-        print(f"extends to {len(extension)} edges: {extension}")
+        print(f"extends to {len(extension)} edges: {_matching_text(h, extension)}")
     return EXIT_OK
 
 

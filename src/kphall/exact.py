@@ -5,12 +5,12 @@ as desk-scale oracles, not as scalable algorithms.  A size guard rejects
 instances past roughly 40 edges / 40 vertices unless ``force`` is given.
 
 Both are depth-first branch and bound over the canonical edge order, on
-the instance's cached bitmasks: vertex (part, index) is one bit, an edge
-or a cover is an int.  Each prunes with an admissible bound, one that cuts
-only subtrees holding no strictly better solution than the incumbent.
-Since the incumbent changes only on a strict improvement, the walks find
-the same incumbents in the same order as the unbounded searches, so every
-witness is the one the plain search returns.
+the instance's cached bitmasks: vertex v is bit v, an edge or a cover is
+an int.  Each prunes with an admissible bound, one that cuts only subtrees
+holding no strictly better solution than the incumbent.  Since the
+incumbent changes only on a strict improvement, the walks find the same
+incumbents in the same order as the unbounded searches, so every witness
+is the one the plain search returns.
 
 Witnesses are always returned alongside the optimum so callers can check
 them without trusting the search.
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import TooLargeError
-from .hypergraph import KPartiteHypergraph, Vertex
+from .hypergraph import KPartiteHypergraph
 from .matching import Matching
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "SOLVER_EDGE_LIMIT",
     "SOLVER_VERTEX_LIMIT",
     "alpha_prime",
-    "beta",
     "duality_report",
 ]
 
@@ -49,7 +48,7 @@ class DualityReport:
     beta: int
     t: int
     max_matching_witness: Matching
-    min_cover_witness: tuple[Vertex, ...]
+    min_cover_witness: tuple[int, ...]
     has_t_matching: bool
     konig_equality: bool
 
@@ -130,25 +129,18 @@ def alpha_prime(
     return len(best), Matching(tuple([edges[j] for j in best]))
 
 
-def beta(
-    h: KPartiteHypergraph, *, force: bool = False
-) -> tuple[int, tuple[Vertex, ...]]:
+def _min_cover(h: KPartiteHypergraph, lower: int) -> tuple[int, tuple[int, ...]]:
     """Exact minimum vertex cover size and a witness.
 
     Branches k ways on the first uncovered edge in canonical order, with the
     cover as one bitmask.  The first part is always a cover (every edge
-    meets it exactly once), which seeds the incumbent; the maximum-matching
-    size is a lower bound that stops the search as soon as it is met.  A
+    meets it exactly once), which seeds the incumbent; ``lower``, the
+    maximum-matching size, stops the search as soon as it is met.  A
     node is expanded only while its cover plus a greedy packing of pairwise
     disjoint uncovered edges, each needing a vertex of its own, stays below
     the incumbent.  That cuts only subtrees without a strictly smaller
     cover, so the witness is the one the unbounded search finds.
     """
-    lower, _ = alpha_prime(h, force=force)
-    return _min_cover(h, lower)
-
-
-def _min_cover(h: KPartiteHypergraph, lower: int) -> tuple[int, tuple[Vertex, ...]]:
     masks, part_masks = h._bits
     m = len(masks)
     best = part_masks[0]
@@ -156,7 +148,7 @@ def _min_cover(h: KPartiteHypergraph, lower: int) -> tuple[int, tuple[Vertex, ..
     # No cover is smaller than a matching, so a first part already of size
     # ``lower`` is optimal, and the walk could only ever tie it.
     if best_size <= lower:
-        return best_size, h.parts[0]
+        return best_size, tuple(h.parts[0])
     # Depth-first with an explicit stack, so a deep cover cannot exhaust
     # the recursion limit.  One frame per expanded node on the path: its
     # first uncovered edge and that edge's untried vertex bits, taken in
@@ -206,8 +198,7 @@ def _min_cover(h: KPartiteHypergraph, lower: int) -> tuple[int, tuple[Vertex, ..
         cover |= v
         path.append(v)
         start = frame[0] + 1
-    flat = [v for part in h.parts for v in part]
-    return best_size, tuple([v for i, v in enumerate(flat) if best >> i & 1])
+    return best_size, tuple([v for v in range(best.bit_length()) if best >> v & 1])
 
 
 def duality_report(h: KPartiteHypergraph, *, force: bool = False) -> DualityReport:

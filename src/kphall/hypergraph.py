@@ -1,16 +1,21 @@
 """Data model for k-uniform k-partite hypergraphs.
 
 An instance has an ordered list of k pairwise-disjoint vertex parts and a
-set of hyperedges, each taking exactly one vertex from every part.  Building
-an instance canonicalizes it: labels are sorted within each part, every edge
-is sorted by part, and the edge list is sorted lexicographically by local
-indices.  All downstream tie-breaking (enumeration order, witnesses, report
-bytes) inherits from this canonical order, so equal inputs always produce
-identical outputs.  The build makes one pass over the edges: it resolves
-and sorts each edge's vertices and keys the edge by its local indices read
-as one mixed-radix integer, which dedupes and orders the edge list.  Only
-an edge that is not one vertex per part takes a slower path, which names
-the fault.
+set of hyperedges, each taking exactly one vertex from every part.  A
+vertex is an int id, numbered once, when the instance is built: labels
+are sorted within each part and numbered part by part, so part i holds the
+ids ``parts[i]``, a contiguous range, and ``labels[v]`` is the label of
+vertex v.  Labels are read only where a report or a document is written.
+
+Ids grow part by part, so an edge, a tuple of ids in increasing order, is
+in part order, and the canonical edge list is sorted lexicographically by
+those tuples.  All downstream tie-breaking (enumeration order, witnesses,
+report bytes) inherits from this canonical order, so equal inputs always
+produce identical outputs.  The build makes one pass over the edges: it
+resolves and sorts each edge's ids and keys the edge by its local indices
+read as one mixed-radix integer, which dedupes and orders the edge list.
+Only an edge that is not one vertex per part takes a slower path, which
+names the fault.
 
 The analysis needs one subhypergraph, the one generated on the first k-1
 parts.  Its edges, the prefix traces, are the edges with their last-part
@@ -29,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, groupby
-from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 from .errors import (
     DuplicateLabelError,
@@ -41,7 +46,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Vertex",
     "Edge",
     "KPartiteHypergraph",
     "build_hypergraph",
@@ -51,33 +55,20 @@ __all__ = [
     "rotate_parts",
 ]
 
-
-class Vertex(NamedTuple):
-    """A vertex at (part, index) with a display label.
-
-    Within one instance (part, index) is already unique, so the label never
-    decides the canonical order; it does participate in equality, keeping
-    vertices from differently labeled instances distinct.  Being a plain
-    tuple, a vertex also equals the 3-tuple (part, index, label).
-    """
-
-    part: int
-    index: int
-    label: str
-
-    def __str__(self) -> str:
-        return self.label
-
-
-Edge = tuple[Vertex, ...]
+Edge = tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class KPartiteHypergraph:
-    """A validated, canonically ordered k-uniform k-partite hypergraph."""
+    """A validated, canonically ordered k-uniform k-partite hypergraph.
+
+    Equality sees the labels, so instances differing only in labels are
+    unequal.
+    """
 
     k: int
-    parts: tuple[tuple[Vertex, ...], ...]
+    parts: tuple[range, ...]
+    labels: tuple[str, ...]
     edges: tuple[Edge, ...]
     warnings: tuple[str, ...] = field(default=(), compare=False)
     metadata: Mapping | None = field(default=None, compare=False)
@@ -92,14 +83,18 @@ class KPartiteHypergraph:
         return len(self.parts[0])
 
     @cached_property
+    def _part_of(self) -> tuple[int, ...]:
+        return tuple([i for i, p in enumerate(self.parts) for _ in p])
+
+    @cached_property
     def _edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
 
-    def has_edge(self, edge: Iterable[Vertex]) -> bool:
+    def has_edge(self, edge: Iterable[int]) -> bool:
         return tuple(sorted(edge)) in self._edge_set
 
     @cached_property
-    def _traces(self) -> dict[Edge, tuple[Vertex, ...]]:
+    def _traces(self) -> dict[Edge, tuple[int, ...]]:
         """Each prefix trace -> the last-part vertices completing it.
 
         Edges sharing a trace are adjacent in the canonical edge list, with
@@ -114,27 +109,16 @@ class KPartiteHypergraph:
     def _bits(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Bitmasks for the exact solvers: per edge, then per part.
 
-        Vertex (part, index) is bit offset[part] + index, so the bits of an
-        edge in increasing order are its vertices in part order.
+        Bit v stands for vertex v, so the bits of an edge in increasing
+        order are its vertices in part order.
         """
-        offsets = []
-        part_masks = []
-        n = 0
-        for part in self.parts:
-            offsets.append(n)
-            part_masks.append(((1 << len(part)) - 1) << n)
-            n += len(part)
-        masks = []
-        for e in self.edges:
-            mask = 0
-            for p, i, _ in e:
-                mask |= 1 << (offsets[p] + i)
-            masks.append(mask)
-        return tuple(masks), tuple(part_masks)
+        masks = tuple([sum([1 << v for v in e]) for e in self.edges])
+        part_masks = tuple([((1 << len(p)) - 1) << p.start for p in self.parts])
+        return masks, part_masks
 
 
 def _reject_edge(
-    labels: list[str], by_label: Mapping[str, Vertex], k: int
+    labels: list[str], by_label: Mapping[str, int], part_of: list[int], k: int
 ) -> NoReturn:
     """Raise the error for an edge that does not take one vertex per part."""
     resolved = []
@@ -150,7 +134,7 @@ def _reject_edge(
         )
     per_part = [0] * k
     for v in distinct:
-        per_part[v.part] += 1
+        per_part[part_of[v]] += 1
     # k distinct vertices, not one per part: some part holds two or more
     bad = next(i for i, c in enumerate(per_part) if c > 1)
     raise NotPartiteError(
@@ -167,11 +151,11 @@ def build_hypergraph(
 ) -> KPartiteHypergraph:
     """Validate raw parts and edges and return the canonical instance.
 
-    Labels are sorted within each part, edges are deduplicated and sorted.
-    An edge is valid when its vertices, sorted, lie in parts 0..k-1 in
-    turn.  Its key reads its local indices as the digits of one mixed-radix
-    integer, the last part's index lowest, so sorting keys sorts edges
-    lexicographically by local indices.  Strict mode rejects isolated
+    Labels are sorted within each part and numbered part by part, edges are
+    deduplicated and sorted.  An edge is valid when its ids, sorted, lie in
+    parts 0..k-1 in turn.  Its key reads its local indices as the digits of
+    one mixed-radix integer, the last part's index lowest, so sorting keys
+    sorts edges lexicographically by ids.  Strict mode rejects isolated
     vertices; lenient mode records a warning per isolated vertex instead.
 
     Raises NotUniformError, NotPartiteError, DuplicateLabelError or
@@ -183,56 +167,58 @@ def build_hypergraph(
     if any(len(p) == 0 for p in parts):
         raise ValueError("every part must be nonempty")
 
-    seen: set[str] = set()
-    vertex_parts: list[tuple[Vertex, ...]] = []
-    by_label: dict[str, Vertex] = {}
+    labels: list[str] = []
+    ranges: list[range] = []
+    part_of: list[int] = []
+    by_label: dict[str, int] = {}
     for i, raw in enumerate(parts):
-        labels = sorted(str(x) for x in raw)
-        for j, lab in enumerate(labels):
-            if lab in seen:
+        start = len(labels)
+        for lab in sorted(str(x) for x in raw):
+            if lab in by_label:
                 raise DuplicateLabelError(f"label {lab!r} declared twice")
-            seen.add(lab)
-        vs = tuple([Vertex(i, j, lab) for j, lab in enumerate(labels)])
-        vertex_parts.append(vs)
-        by_label.update((v.label, v) for v in vs)
+            by_label[lab] = len(labels)
+            labels.append(lab)
+        ranges.append(range(start, len(labels)))
+        part_of.extend([i] * len(ranges[-1]))
 
-    # label -> its index times the product of the later parts' sizes
-    digit: dict[str, int] = {}
+    # id -> its local index times the product of the later parts' sizes
+    digit = [0] * len(labels)
     radix = 1
-    for part in reversed(vertex_parts):
-        digit.update((v.label, v.index * radix) for v in part)
+    for part in reversed(ranges):
+        for v in part:
+            digit[v] = (v - part.start) * radix
         radix *= len(part)
 
     part_ids = list(range(k))
-    canonical: dict[int, list[Vertex]] = {}
+    canonical: dict[int, list[int]] = {}
     for raw_edge in edges:
-        labels = [str(x) for x in raw_edge]
+        edge_labels = [str(x) for x in raw_edge]
         try:
-            vs = sorted([by_label[lab] for lab in labels])
+            ids = sorted([by_label[lab] for lab in edge_labels])
         except KeyError:
-            _reject_edge(labels, by_label, k)
-        if [v.part for v in vs] != part_ids:
-            _reject_edge(labels, by_label, k)
-        canonical[sum([digit[lab] for lab in labels])] = vs
+            _reject_edge(edge_labels, by_label, part_of, k)
+        if [part_of[v] for v in ids] != part_ids:
+            _reject_edge(edge_labels, by_label, part_of, k)
+        canonical[sum([digit[v] for v in ids])] = ids
 
     edge_list = tuple([tuple(canonical[key]) for key in sorted(canonical)])
 
     covered = set(chain.from_iterable(edge_list))
     warnings = []
-    for part in vertex_parts:
-        for v in part:
-            if v not in covered:
-                if strict:
-                    raise IsolatedVertexError(
-                        f"vertex {v.label!r} lies in no edge (strict mode)"
-                    )
-                warnings.append(f"isolated vertex: {v.label}")
+    for v, lab in enumerate(labels):
+        if v not in covered:
+            if strict:
+                raise IsolatedVertexError(
+                    f"vertex {lab!r} lies in no edge (strict mode)"
+                )
+            warnings.append(f"isolated vertex: {lab}")
     if not edge_list:
         warnings.append("degenerate: instance has no edges")
 
     return KPartiteHypergraph(
         k=k,
-        parts=tuple(vertex_parts),
+        parts=tuple(ranges),
+        labels=tuple(labels),
         edges=edge_list,
         warnings=tuple(warnings),
         metadata=metadata,
@@ -248,28 +234,31 @@ def prefix_traces(h: KPartiteHypergraph) -> tuple[Edge, ...]:
     return tuple(h._traces)
 
 
-def neighborhood(h: KPartiteHypergraph, sub: Iterable[Vertex]) -> tuple[Vertex, ...]:
+def neighborhood(h: KPartiteHypergraph, sub: Iterable[int]) -> tuple[int, ...]:
     """N(sub): the last-part vertices v such that sub + {v} is an edge of h.
 
     In canonical order.  Empty when ``sub`` is not a prefix trace of h, which
     includes every set holding a last-part vertex; that is a valid outcome,
-    not an error.  Raises WrongArityError unless ``sub`` has k-1 vertices and
-    SamePartError when two of them share a part.
+    not an error.  Raises WrongArityError unless ``sub`` has k-1 vertices,
+    ValueError when one is not a vertex id of h and SamePartError when two
+    of them share a part.
     """
     vs = tuple(sorted(sub))
     if len(vs) != h.k - 1:
         raise WrongArityError(f"expected {h.k - 1} vertices, got {len(vs)}")
-    parts = [v.part for v in vs]
-    if len(set(parts)) != len(parts):
+    if vs[0] < 0 or vs[-1] >= len(h.labels):
+        raise ValueError(f"{list(vs)} holds an id that is not a vertex of h")
+    part_of = h._part_of
+    if len({part_of[v] for v in vs}) != len(vs):
         raise SamePartError("two vertices share a part")
     return h._traces.get(vs, ())
 
 
 def neighborhood_of_set(
-    h: KPartiteHypergraph, subs: Iterable[Iterable[Vertex]]
-) -> tuple[Vertex, ...]:
+    h: KPartiteHypergraph, subs: Iterable[Iterable[int]]
+) -> tuple[int, ...]:
     """Union of the neighborhoods of the given prefix traces."""
-    out: set[Vertex] = set()
+    out: set[int] = set()
     for sub in subs:
         out.update(neighborhood(h, sub))
     return tuple(sorted(out))
@@ -285,6 +274,6 @@ def rotate_parts(h: KPartiteHypergraph, shift: int) -> KPartiteHypergraph:
     if r == 0:
         return h
     order = list(range(r, h.k)) + list(range(r))
-    parts = [[v.label for v in h.parts[i]] for i in order]
-    edges = [[v.label for v in e] for e in h.edges]
+    parts = [[h.labels[v] for v in h.parts[i]] for i in order]
+    edges = [[h.labels[v] for v in e] for e in h.edges]
     return build_hypergraph(parts, edges, strict=False, metadata=h.metadata)

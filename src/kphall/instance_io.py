@@ -113,8 +113,8 @@ def serialize_instance(h: KPartiteHypergraph) -> str:
     doc: dict[str, Any] = {
         "format_version": FORMAT_VERSION,
         "k": h.k,
-        "parts": [[v.label for v in part] for part in h.parts],
-        "edges": [[v.label for v in e] for e in h.edges],
+        "parts": [[h.labels[v] for v in part] for part in h.parts],
+        "edges": [[h.labels[v] for v in e] for e in h.edges],
     }
     if h.metadata is not None:
         doc["metadata"] = json.loads(json.dumps(dict(h.metadata), sort_keys=True))

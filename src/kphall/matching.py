@@ -3,8 +3,8 @@
 The pipeline mirrors how the analysis runs: enumerate perfect matchings of
 the prefix subhypergraph, whose traces (each edge minus its last-part
 vertex) are read straight off the edge list, in canonical order.  The
-enumeration is an exact-cover search over integer vertex ids private to
-the call; it forward-checks each take against per-vertex counts of live
+enumeration is an exact-cover search over the instance's integer vertex
+ids; it forward-checks each take against per-vertex counts of live
 traces, which prunes dead branches without reordering the search.  Each
 matching is then turned into an SDR instance: a tuple holding, for each
 element of the matching in order, the tuple of its candidate last-part
@@ -23,10 +23,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
 
 from .errors import NotPerfectPrefixMatchingError, TooLargeError
-from .hypergraph import Edge, KPartiteHypergraph, Vertex, prefix_traces
+from .hypergraph import Edge, KPartiteHypergraph, prefix_traces
 
 __all__ = [
     "Matching",
@@ -58,27 +57,11 @@ class Matching:
 
     edges: tuple[Edge, ...]
 
-    @classmethod
-    def of(cls, edges: Iterable[Iterable[Vertex]]) -> "Matching":
-        canon = sorted(tuple(sorted(e)) for e in edges)
-        seen: set[Vertex] = set()
-        for e in canon:
-            for v in e:
-                if v in seen:
-                    raise ValueError(f"edges are not pairwise disjoint at {v.label}")
-                seen.add(v)
-        return cls(tuple(canon))
-
     def __len__(self) -> int:
         return len(self.edges)
 
     def __iter__(self):
         return iter(self.edges)
-
-    def __str__(self) -> str:
-        return " | ".join(
-            "{" + ",".join(v.label for v in e) + "}" for e in self.edges
-        )
 
 
 @dataclass(frozen=True)
@@ -126,9 +109,9 @@ def enumerate_perfect_matchings(
     if any(len(p) != t for p in parts):
         return []
 
-    # Integer ids, part by part, so a first-part vertex's id is its index.
-    traces = prefix_traces(h)
-    members = [tuple([v.part * t + v.index for v in tr]) for tr in traces]
+    # Every prefix part has t vertices, so the prefix ids are 0..t(k-1)-1
+    # and a first-part vertex's id is its index.
+    members = prefix_traces(h)
     by_anchor: list[list[int]] = [[] for _ in range(t)]
     through: list[list[int]] = [[] for _ in range(t * len(parts))]
     for s, ids in enumerate(members):
@@ -193,7 +176,7 @@ def enumerate_perfect_matchings(
             stack.append(iter(by_anchor[len(chosen)]))
             continue
         # Taken in first-part order and pairwise disjoint: already canonical.
-        found.append(Matching(tuple([traces[c] for c in chosen])))
+        found.append(Matching(tuple([members[c] for c in chosen])))
         if len(found) >= limit:
             break
         chosen.pop()
@@ -202,12 +185,11 @@ def enumerate_perfect_matchings(
 
 
 def _check_prefix_matching(h: KPartiteHypergraph, m: Matching) -> None:
-    covered: set[Vertex] = set()
+    covered: set[int] = set()
     for e in m.edges:
+        # An id that is not a vertex of h is in no trace.
         if e not in h._traces:
-            raise NotPerfectPrefixMatchingError(
-                f"{{{','.join(v.label for v in e)}}} is not a prefix trace"
-            )
+            raise NotPerfectPrefixMatchingError(f"{list(e)} is not a prefix trace")
         if not covered.isdisjoint(e):
             raise NotPerfectPrefixMatchingError("matching edges overlap")
         covered.update(e)
@@ -219,28 +201,26 @@ def _check_prefix_matching(h: KPartiteHypergraph, m: Matching) -> None:
         )
 
 
-def sdr_instance(
-    h: KPartiteHypergraph, m: Matching
-) -> tuple[tuple[Vertex, ...], ...]:
+def sdr_instance(h: KPartiteHypergraph, m: Matching) -> tuple[tuple[int, ...], ...]:
     """SDR instance of a prefix perfect matching: each element's candidates."""
     _check_prefix_matching(h, m)
     return tuple([h._traces[e] for e in m.edges])
 
 
 def _kuhn(
-    inst: tuple[tuple[Vertex, ...], ...]
-) -> tuple[list[Vertex | None], dict[Vertex, int]]:
+    inst: tuple[tuple[int, ...], ...]
+) -> tuple[list[int | None], dict[int, int]]:
     """Maximum bipartite matching by augmenting paths, deterministic order."""
-    match_left: list[Vertex | None] = [None] * len(inst)
-    match_right: dict[Vertex, int] = {}
+    match_left: list[int | None] = [None] * len(inst)
+    match_right: dict[int, int] = {}
 
     def augment(root: int) -> None:
         # Depth-first search for an augmenting path from ``root``, with an
         # explicit stack so long paths cannot exhaust the recursion limit;
         # path[d] is the vertex being tried from the element at stack[d].
-        visited: set[Vertex] = set()
+        visited: set[int] = set()
         stack = [(root, iter(inst[root]))]
-        path: list[Vertex] = []
+        path: list[int] = []
         while stack:
             for v in stack[-1][1]:
                 if v not in visited:
@@ -266,22 +246,22 @@ def _kuhn(
 
 
 def max_bipartite_matching(
-    inst: tuple[tuple[Vertex, ...], ...]
-) -> tuple[tuple[int, Vertex], ...]:
+    inst: tuple[tuple[int, ...], ...]
+) -> tuple[tuple[int, int], ...]:
     """Maximum set of (element index, candidate) pairs, all distinct."""
     match_left, _ = _kuhn(inst)
     return tuple([(i, v) for i, v in enumerate(match_left) if v is not None])
 
 
 def _violator_cut(
-    inst: tuple[tuple[Vertex, ...], ...],
-    match_left: list[Vertex | None],
-    match_right: dict[Vertex, int],
+    inst: tuple[tuple[int, ...], ...],
+    match_left: list[int | None],
+    match_right: dict[int, int],
 ) -> list[int]:
     # Left elements reachable from unmatched left elements by alternating
     # paths; by Koenig duality this set maximizes |A| - |N(A)|.
     reach_left = {i for i, v in enumerate(match_left) if v is None}
-    reach_right: set[Vertex] = set()
+    reach_right: set[int] = set()
     queue = deque(sorted(reach_left))
     while queue:
         i = queue.popleft()
@@ -345,7 +325,7 @@ def hall_subset_oracle(h: KPartiteHypergraph, m: Matching) -> HallReport:
     best = 0
     best_mask = 0
     for mask in range(1 << t):
-        union: set[Vertex] = set()
+        union: set[int] = set()
         size = 0
         for i in range(t):
             if mask >> i & 1:

@@ -23,11 +23,11 @@ def single_edge():
     return fixture("k3_single_edge")
 
 
-def labels(edges):
-    """Edge/matching content as sorted lists of label lists, for comparisons."""
-    return sorted([v.label for v in e] for e in edges)
+def labels(h, edges):
+    """Edge/matching content of ``h`` as sorted lists of label lists."""
+    return sorted([h.labels[v] for v in e] for e in edges)
 
 
 def vertex(h, label):
-    """The vertex of ``h`` carrying ``label``."""
-    return next(v for part in h.parts for v in part if v.label == label)
+    """The vertex id of ``h`` carrying ``label``."""
+    return h.labels.index(label)

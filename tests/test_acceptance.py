@@ -16,7 +16,6 @@ from kphall import (
     alpha_prime,
     analyze_instance,
     analyze_matching,
-    beta,
     duality_report,
     enumerate_perfect_matchings,
     fixture,
@@ -44,8 +43,8 @@ def report_line(number, description, ok, extra=""):
     assert ok, f"criterion {number} failed: {description}"
 
 
-def edge_labels(edges):
-    return sorted([v.label for v in e] for e in edges)
+def edge_labels(h, edges):
+    return sorted([h.labels[v] for v in e] for e in edges)
 
 
 # --- shared corpora -------------------------------------------------------
@@ -101,17 +100,17 @@ def test_criterion_1_nonunique_prefix_reproduction():
 
     ok = v.pm_count == 2 and v.pm_count_is_lower_bound and v.unique is False
     by_content = {
-        tuple(tuple(x.label for x in e) for e in a.prefix_matching.edges): a
+        tuple(tuple(h.labels[x] for x in e) for e in a.prefix_matching.edges): a
         for a in v.per_matching
     }
     violating = by_content[(("x1", "y2"), ("x2", "y1"))]
     satisfied = by_content[(("x1", "y1"), ("x2", "y2"))]
     ok = ok and violating.hall.deficiency == 1
     ok = ok and [
-        x.label for x in neighborhood_of_set(h, violating.hall.witness_violator)
+        h.labels[x] for x in neighborhood_of_set(h, violating.hall.witness_violator)
     ] == ["z2"]
     ok = ok and satisfied.hall.deficiency == 0
-    ok = ok and edge_labels(v.witness.edges) == [
+    ok = ok and edge_labels(h, v.witness.edges) == [
         ["x1", "y1", "z1"],
         ["x2", "y2", "z2"],
     ]
@@ -134,7 +133,10 @@ def test_criterion_2_duality_gap_reproduction():
     d = report.duality
 
     ok = v.pm_count == 1 and v.unique is True
-    ok = ok and edge_labels(v.chosen.prefix_matching.edges) == [["1", "3"], ["2", "4"]]
+    ok = ok and edge_labels(h, v.chosen.prefix_matching.edges) == [
+        ["1", "3"],
+        ["2", "4"],
+    ]
     ok = ok and v.chosen.hall.deficiency == 1
     ok = ok and d.alpha_prime == 1 and d.beta == 2
     ok = ok and not d.konig_equality and not d.has_t_matching
@@ -180,7 +182,7 @@ def test_criterion_4_extension_size_law(planted_corpus):
             valid = valid and h.has_edge(e)
             valid = valid and covered.isdisjoint(e)
             covered.update(e)
-            valid = valid and tuple(v for v in e if v.part < h.k - 1) in traces
+            valid = valid and tuple(v for v in e if v not in h.parts[-1]) in traces
         if not valid:
             failures += 1
     ok = failures == 0 and len(corpus) >= 500
@@ -199,7 +201,8 @@ def test_criterion_5_size_t_duality_equivalence():
     for i in range(trials):
         h = make_random(SEED, i)
         a, wm = alpha_prime(h, force=True)
-        b, wc = beta(h, force=True)
+        r = duality_report(h, force=True)
+        b, wc = r.beta, r.min_cover_witness
         valid = a <= b
         valid = valid and len(wm) == a and all(h.has_edge(e) for e in wm)
         cover = set(wc)

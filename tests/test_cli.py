@@ -155,8 +155,9 @@ class TestAnalyze:
         assert (duality["alpha_prime"], duality["beta"]) == (19, 19)
 
     def test_bad_limit_exit_2(self, capsys, gap_file):
-        code, _, err = run(capsys, "analyze", gap_file, "--limit", "0")
-        assert code == 2
+        code, out, err = run(capsys, "analyze", gap_file, "--limit", "0")
+        assert (code, out) == (2, "")
+        assert "limit must be >= 1" in err
 
     def test_not_applicable_still_analyzes(self, capsys, tmp_path):
         # no prefix perfect matching: the verdict reports not-applicable but

@@ -7,7 +7,6 @@ import pytest
 from kphall import (
     alpha_prime,
     analyze_instance,
-    beta,
     build_hypergraph,
     duality_report,
     fixture,
@@ -18,16 +17,25 @@ from kphall.errors import TooLargeError
 from conftest import labels
 
 
+def min_cover(h, force=False):
+    """Minimum vertex cover size and witness, read off the duality report."""
+    r = duality_report(h, force=force)
+    return r.beta, r.min_cover_witness
+
+
 class TestAlphaPrime:
     def test_gap(self, gap):
         value, witness = alpha_prime(gap)
         assert value == 1
-        assert labels(witness.edges) == [["1", "3", "5"]]
+        assert labels(gap, witness.edges) == [["1", "3", "5"]]
 
     def test_nonunique(self, nonunique):
         value, witness = alpha_prime(nonunique)
         assert value == 2
-        assert labels(witness.edges) == [["x1", "y1", "z1"], ["x2", "y2", "z2"]]
+        assert labels(nonunique, witness.edges) == [
+            ["x1", "y1", "z1"],
+            ["x2", "y2", "z2"],
+        ]
 
     def test_single_edge(self, single_edge):
         assert alpha_prime(single_edge)[0] == 1
@@ -50,26 +58,26 @@ class TestAlphaPrime:
 
 class TestBeta:
     def test_gap(self, gap):
-        value, witness = beta(gap)
+        value, witness = min_cover(gap)
         assert value == 2
         assert all(set(witness) & set(e) for e in gap.edges)
 
     def test_nonunique(self, nonunique):
-        value, witness = beta(nonunique)
+        value, witness = min_cover(nonunique)
         assert value == 2
-        assert [v.label for v in witness] == ["x1", "x2"]
+        assert [nonunique.labels[v] for v in witness] == ["x1", "x2"]
 
     def test_single_edge(self, single_edge):
-        assert beta(single_edge)[0] == 1
+        assert min_cover(single_edge)[0] == 1
 
     def test_k2(self, k2_fail):
-        value, witness = beta(k2_fail)
+        value, witness = min_cover(k2_fail)
         assert value == 1
-        assert [v.label for v in witness] == ["c"]
+        assert [k2_fail.labels[v] for v in witness] == ["c"]
 
     def test_empty_edge_list(self):
         h = build_hypergraph([["a"], ["b"]], [], strict=False)
-        assert beta(h) == (0, ())
+        assert min_cover(h) == (0, ())
 
 
 class TestCoverEarlyExit:
@@ -78,9 +86,9 @@ class TestCoverEarlyExit:
         # the 2^24 covers is needed to prove it optimal.
         parts = [[f"a{i:02d}" for i in range(24)], [f"b{i:02d}" for i in range(24)]]
         h = build_hypergraph(parts, list(zip(*parts)))
-        value, witness = beta(h, force=True)
+        value, witness = min_cover(h, force=True)
         assert value == 24
-        assert witness == h.parts[0]
+        assert witness == tuple(h.parts[0])
 
     @pytest.mark.parametrize(
         "name, expected",
@@ -92,9 +100,10 @@ class TestCoverEarlyExit:
         ],
     )
     def test_fixture_witnesses_unchanged(self, name, expected):
-        value, witness = beta(fixture(name))
+        h = fixture(name)
+        value, witness = min_cover(h)
         assert value == len(expected)
-        assert [v.label for v in witness] == expected
+        assert [h.labels[v] for v in witness] == expected
 
 
 def near_matching(n):
@@ -110,9 +119,12 @@ class TestBoundsPrune:
     def test_cover_packing_bound(self):
         # Without the packing bound every cover through a00 is walked:
         # about 4x more time per +2 on n, and 4 s already at n = 20.
-        value, witness = beta(near_matching(24), force=True)
+        h = near_matching(24)
+        value, witness = min_cover(h, force=True)
         assert value == 24
-        assert [v.label for v in witness] == [f"a{i:02d}" for i in range(1, 24)] + ["b00"]
+        assert [h.labels[v] for v in witness] == [
+            f"a{i:02d}" for i in range(1, 24)
+        ] + ["b00"]
 
     def test_matching_reach_bound(self):
         # K(12, 11) and an isolated b11: no matching beats the 11 usable
@@ -124,7 +136,9 @@ class TestBoundsPrune:
         h = build_hypergraph(parts, edges, strict=False)
         value, witness = alpha_prime(h, force=True)
         assert value == 11
-        assert labels(witness.edges) == [[f"a{i:02d}", f"b{i:02d}"] for i in range(11)]
+        assert labels(h, witness.edges) == [
+            [f"a{i:02d}", f"b{i:02d}"] for i in range(11)
+        ]
 
 
 class TestDualityReport:
@@ -216,7 +230,7 @@ class TestSizeGuard:
         with pytest.raises(TooLargeError):
             alpha_prime(h)
         with pytest.raises(TooLargeError):
-            beta(h)
+            min_cover(h)
 
     def test_guard_runs_before_the_verdict(self, monkeypatch):
         import kphall.analysis
@@ -232,10 +246,21 @@ class TestSizeGuard:
         with pytest.raises(TooLargeError):
             analyze_instance(h)
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_bad_limit_raises_before_the_solvers(self, gap, monkeypatch, limit):
+        import kphall.analysis
+
+        def solvers_must_not_run(*args, **kwargs):
+            raise AssertionError("exact solvers ran before the limit check")
+
+        monkeypatch.setattr(kphall.analysis, "duality_report", solvers_must_not_run)
+        with pytest.raises(ValueError, match="limit must be >= 1"):
+            analyze_instance(gap, force=True, limit=limit)
+
     def test_force_lifts_guard(self):
         h = gen_random(
             GeneratorParams(k=2, part_sizes=(7, 7), edge_probability=1.0), 0
         )
         value, _ = alpha_prime(h, force=True)
         assert value == 7
-        assert beta(h, force=True)[0] == 7
+        assert min_cover(h, force=True)[0] == 7

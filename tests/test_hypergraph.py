@@ -5,7 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kphall import Vertex, build_hypergraph, neighborhood
+from kphall import build_hypergraph, neighborhood
 from kphall.errors import (
     DuplicateLabelError,
     IsolatedVertexError,
@@ -28,17 +28,6 @@ EDGES_A = [
     ["x2", "y2", "z2"],
     ["x2", "y1", "z2"],
 ]
-
-
-class TestVertex:
-    def test_order_ignores_labels_within_an_instance(self):
-        assert Vertex(0, 1, "a") < Vertex(1, 0, "b") < Vertex(1, 1, "a")
-        assert str(Vertex(2, 0, "z9")) == "z9"
-
-    def test_equality_sees_labels_and_plain_tuples(self):
-        assert Vertex(0, 0, "a") != Vertex(0, 0, "b")
-        assert Vertex(0, 0, "a") == (0, 0, "a")
-        assert hash(Vertex(0, 0, "a")) == hash((0, 0, "a"))
 
 
 class TestBuildValidate:
@@ -84,7 +73,7 @@ class TestBuildValidate:
     def test_deduplication_and_canonical_order(self):
         h = build_hypergraph(PARTS_A, EDGES_A + [["z2", "x2", "y1"]])
         assert len(h.edges) == 4
-        assert labels(h.edges) == sorted(
+        assert labels(h, h.edges) == sorted(
             [["x1", "y1", "z1"], ["x1", "y2", "z2"], ["x2", "y1", "z2"], ["x2", "y2", "z2"]]
         )
 
@@ -94,6 +83,13 @@ class TestBuildValidate:
         shuffled_edges = [list(reversed(e)) for e in reversed(EDGES_A)]
         h2 = build_hypergraph(shuffled_parts, shuffled_edges)
         assert h1 == h2
+
+    def test_equality_sees_labels(self):
+        h1 = build_hypergraph(PARTS_A, EDGES_A)
+        relabeled = [[lab.upper() for lab in part] for part in PARTS_A]
+        h2 = build_hypergraph(relabeled, [[lab.upper() for lab in e] for e in EDGES_A])
+        assert (h1.parts, h1.edges) == (h2.parts, h2.edges)
+        assert h1 != h2
 
     @pytest.mark.parametrize(
         "edge, error, message",
@@ -139,24 +135,26 @@ class TestBuildValidate:
 
 
 def _reference_build(parts, edges):
-    """Canonical parts, edges and warnings by the definition, for comparison."""
-    vparts = tuple(
-        tuple(Vertex(i, j, lab) for j, lab in enumerate(sorted(part)))
-        for i, part in enumerate(parts)
-    )
-    by_label = {v.label: v for part in vparts for v in part}
-    unique = {tuple(sorted(by_label[lab] for lab in e)) for e in edges}
-    canonical = tuple(sorted(unique, key=lambda e: [v.index for v in e]))
+    """Canonical labels, edges and warnings by the definition, for comparison.
+
+    Vertex ids come from the part and the label's position in its sorted
+    part: id = (sizes of the earlier parts) + position.
+    """
+    ids = {}
+    for i, part in enumerate(parts):
+        offset = sum(len(p) for p in parts[:i])
+        for j, lab in enumerate(sorted(part)):
+            ids[lab] = offset + j
+    table = tuple(sorted(ids, key=ids.get))
+    unique = {tuple(sorted(ids[lab] for lab in e)) for e in edges}
+    canonical = tuple(sorted(unique))
     covered = {v for e in canonical for v in e}
     warnings = [
-        f"isolated vertex: {v.label}"
-        for part in vparts
-        for v in part
-        if v not in covered
+        f"isolated vertex: {lab}" for v, lab in enumerate(table) if v not in covered
     ]
     if not canonical:
         warnings.append("degenerate: instance has no edges")
-    return vparts, canonical, tuple(warnings)
+    return table, canonical, tuple(warnings)
 
 
 @st.composite
@@ -184,21 +182,34 @@ def raw_instances(draw):
 @given(raw_instances(), st.booleans())
 def test_build_matches_reference_canonicalization(raw, strict):
     parts, edges = raw
-    vparts, canonical, warnings = _reference_build(parts, edges)
+    table, canonical, warnings = _reference_build(parts, edges)
     isolated = any(w.startswith("isolated") for w in warnings)
     if strict and isolated:
         with pytest.raises(IsolatedVertexError):
             build_hypergraph(parts, edges, strict=True)
         return
     h = build_hypergraph(parts, edges, strict=strict)
-    assert h.parts == vparts
+    assert h.labels == table
     assert h.edges == canonical
     assert h.warnings == warnings
 
 
+@settings(max_examples=150, deadline=None)
+@given(raw_instances())
+def test_ids_number_the_parts_in_turn(raw):
+    parts, edges = raw
+    h = build_hypergraph(parts, edges, strict=False)
+    assert all(type(p) is range and p.step == 1 for p in h.parts)
+    assert [v for p in h.parts for v in p] == list(range(len(h.labels)))
+    for part, ids in zip(parts, h.parts):
+        assert [h.labels[v] for v in ids] == sorted(part)
+    for e in h.edges:
+        assert all(v in p for v, p in zip(e, h.parts, strict=True))
+
+
 class TestGeneratedSubhypergraph:
     def test_prefix_traces(self, nonunique):
-        assert labels(prefix_traces(nonunique)) == [
+        assert labels(nonunique, prefix_traces(nonunique)) == [
             ["x1", "y1"],
             ["x1", "y2"],
             ["x2", "y1"],
@@ -207,7 +218,7 @@ class TestGeneratedSubhypergraph:
         assert nonunique.part_sizes[:-1] == (2, 2)
 
     def test_prefix_traces_gap(self, gap):
-        assert labels(prefix_traces(gap)) == [["1", "3"], ["2", "3"], ["2", "4"]]
+        assert labels(gap, prefix_traces(gap)) == [["1", "3"], ["2", "3"], ["2", "4"]]
 
     def test_prefix_traces_single_edge(self, single_edge):
         assert len(prefix_traces(single_edge)) == 1
@@ -216,11 +227,11 @@ class TestGeneratedSubhypergraph:
 class TestNeighborhood:
     def test_known_pair(self, nonunique):
         e = [vertex(nonunique, "x2"), vertex(nonunique, "y1")]
-        assert [v.label for v in neighborhood(nonunique, e)] == ["z2"]
+        assert neighborhood(nonunique, e) == (vertex(nonunique, "z2"),)
 
     def test_known_pair_gap(self, gap):
         e = [vertex(gap, "1"), vertex(gap, "3")]
-        assert [v.label for v in neighborhood(gap, e)] == ["5"]
+        assert neighborhood(gap, e) == (vertex(gap, "5"),)
 
     def test_non_submaximal_is_empty(self, nonunique):
         e = [vertex(nonunique, "x2"), vertex(nonunique, "z1")]
@@ -240,19 +251,26 @@ class TestNeighborhood:
         with pytest.raises(SamePartError):
             neighborhood(nonunique, [vertex(nonunique, "x1"), vertex(nonunique, "x2")])
 
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_id_outside_instance(self, nonunique, bad):
+        # -1 would index the last part and 6 (= n) no vertex at all
+        with pytest.raises(ValueError, match="not a vertex"):
+            neighborhood(nonunique, [vertex(nonunique, "x1"), bad])
+
     def test_union_violating_set(self, nonunique):
         pairs = [
             [vertex(nonunique, "x2"), vertex(nonunique, "y1")],
             [vertex(nonunique, "x1"), vertex(nonunique, "y2")],
         ]
-        assert [v.label for v in neighborhood_of_set(nonunique, pairs)] == ["z2"]
+        assert neighborhood_of_set(nonunique, pairs) == (vertex(nonunique, "z2"),)
 
     def test_union_satisfying_set(self, nonunique):
         pairs = [
             [vertex(nonunique, "x1"), vertex(nonunique, "y1")],
             [vertex(nonunique, "x2"), vertex(nonunique, "y2")],
         ]
-        assert [v.label for v in neighborhood_of_set(nonunique, pairs)] == ["z1", "z2"]
+        union = neighborhood_of_set(nonunique, pairs)
+        assert [nonunique.labels[v] for v in union] == ["z1", "z2"]
 
     def test_empty_set(self, nonunique):
         assert neighborhood_of_set(nonunique, []) == ()
@@ -268,7 +286,7 @@ class TestNeighborhood:
 class TestRotateParts:
     def test_rotation_moves_first_part_last(self, gap):
         r = rotate_parts(gap, 1)
-        assert [v.label for v in r.parts[-1]] == ["1", "2"]
+        assert [r.labels[v] for v in r.parts[-1]] == ["1", "2"]
         assert len(r.edges) == len(gap.edges)
 
     def test_full_rotation_is_identity(self, gap):

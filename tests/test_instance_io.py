@@ -169,12 +169,12 @@ class TestFixtures:
 
     def test_duality_gap_content(self):
         h = fixture("duality_gap")
-        assert [[v.label for v in part] for part in h.parts] == [
+        assert [[h.labels[v] for v in part] for part in h.parts] == [
             ["1", "2"],
             ["3", "4"],
             ["5", "6"],
         ]
-        assert [[v.label for v in e] for e in h.edges] == [
+        assert [[h.labels[v] for v in e] for e in h.edges] == [
             ["1", "3", "5"],
             ["2", "3", "6"],
             ["2", "4", "5"],

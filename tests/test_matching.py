@@ -27,25 +27,14 @@ def vertex_tuple(h, names):
 
 
 def prefix_matching(h, *edges):
-    return Matching.of([vertex_tuple(h, e) for e in edges])
-
-
-class TestMatchingOf:
-    def test_sorts_edges_and_their_vertices(self, gap):
-        reversed_edge = vertex_tuple(gap, ["2", "4"])[::-1]
-        m = Matching.of([reversed_edge, vertex_tuple(gap, ["1", "3"])])
-        assert [[v.label for v in e] for e in m.edges] == [["1", "3"], ["2", "4"]]
-
-    def test_rejects_overlapping_edges(self, gap):
-        with pytest.raises(ValueError, match="not pairwise disjoint at 1"):
-            Matching.of([vertex_tuple(gap, ["1", "3"]), vertex_tuple(gap, ["1", "4"])])
+    return Matching(tuple(sorted(vertex_tuple(h, e) for e in edges)))
 
 
 class TestEnumeratePerfectMatchings:
     def test_nonunique_prefix_has_two(self, nonunique):
         ms = enumerate_perfect_matchings(nonunique, limit=2)
         assert len(ms) == 2
-        found = {tuple(tuple(v.label for v in e) for e in m.edges) for m in ms}
+        found = {tuple(tuple(nonunique.labels[v] for v in e) for e in m) for m in ms}
         assert found == {
             (("x1", "y1"), ("x2", "y2")),
             (("x1", "y2"), ("x2", "y1")),
@@ -58,7 +47,7 @@ class TestEnumeratePerfectMatchings:
     def test_gap_prefix_is_unique(self, gap):
         ms = enumerate_perfect_matchings(gap, limit=5)
         assert len(ms) == 1
-        assert labels(ms[0].edges) == [["1", "3"], ["2", "4"]]
+        assert labels(gap, ms[0].edges) == [["1", "3"], ["2", "4"]]
 
     def test_unequal_part_sizes_no_pm(self):
         h = build_hypergraph(
@@ -74,7 +63,7 @@ class TestEnumeratePerfectMatchings:
         pairs = [("x1", "y1"), ("x1", "y2"), ("x2", "y1"), ("x2", "y2"), ("x3", "y3")]
         h = build_hypergraph(parts, [[x, y, "z"] for x, y in pairs])
         ms = enumerate_perfect_matchings(h, limit=3)
-        assert [labels(m.edges) for m in ms] == [
+        assert [labels(h, m.edges) for m in ms] == [
             [["x1", "y1"], ["x2", "y2"], ["x3", "y3"]],
             [["x1", "y2"], ["x2", "y1"], ["x3", "y3"]],
         ]
@@ -101,7 +90,7 @@ class TestMaxBipartiteMatching:
             nonunique, {("x1", "y1"): ("z1",), ("x2", "y2"): ("z2",)}
         )
         pairs = max_bipartite_matching(inst)
-        assert [(i, v.label) for i, v in pairs] == [(0, "z1"), (1, "z2")]
+        assert [(i, nonunique.labels[v]) for i, v in pairs] == [(0, "z1"), (1, "z2")]
 
     def test_empty_left(self, gap):
         assert max_bipartite_matching(()) == ()
@@ -117,12 +106,12 @@ class TestHallDeficiency:
         m = prefix_matching(nonunique, ("x1", "y2"), ("x2", "y1"))
         r = analyze_matching(nonunique, m).hall
         assert (r.t, r.max_sdr, r.deficiency) == (2, 1, 1)
-        assert labels(r.witness_violator) == [
+        assert labels(nonunique, r.witness_violator) == [
             ["x1", "y2"],
             ["x2", "y1"],
         ]
         nb = neighborhood_of_set(nonunique, r.witness_violator)
-        assert [v.label for v in nb] == ["z2"]
+        assert nb == (vertex(nonunique, "z2"),)
 
     def test_satisfying_prefix_matching(self, nonunique):
         m = prefix_matching(nonunique, ("x1", "y1"), ("x2", "y2"))
@@ -134,7 +123,7 @@ class TestHallDeficiency:
         m = prefix_matching(gap, ("1", "3"), ("2", "4"))
         r = analyze_matching(gap, m).hall
         assert r.deficiency == 1
-        assert labels(r.witness_violator) == [
+        assert labels(gap, r.witness_violator) == [
             ["1", "3"],
             ["2", "4"],
         ]
@@ -148,6 +137,17 @@ class TestHallDeficiency:
         m = prefix_matching(nonunique, ("x1", "y1"))
         with pytest.raises(NotPerfectPrefixMatchingError):
             analyze_matching(nonunique, m)
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    @pytest.mark.parametrize(
+        "check", [sdr_instance, analyze_matching, hall_subset_oracle]
+    )
+    def test_rejects_ids_outside_the_instance(self, nonunique, check, bad):
+        # -1 would index the last part and 6 (= n) no vertex at all
+        x1, x2y2 = vertex(nonunique, "x1"), vertex_tuple(nonunique, ["x2", "y2"])
+        m = Matching(((x1, bad), x2y2))
+        with pytest.raises(NotPerfectPrefixMatchingError, match=rf"\[0, {bad}\]"):
+            check(nonunique, m)
 
 
 class TestHallSubsetOracle:
@@ -177,7 +177,7 @@ class TestHallSubsetOracle:
         ]
         edges = [[f"a{i:02d}", f"b{i:02d}"] for i in range(t)]
         h = build_hypergraph(parts, edges)
-        m = Matching.of([vertex_tuple(h, [f"a{i:02d}"]) for i in range(t)])
+        m = Matching(tuple([vertex_tuple(h, [f"a{i:02d}"]) for i in range(t)]))
         with pytest.raises(TooLargeError):
             hall_subset_oracle(h, m)
 
@@ -186,7 +186,7 @@ class TestExtendMatching:
     def test_full_extension(self, nonunique):
         m = prefix_matching(nonunique, ("x1", "y1"), ("x2", "y2"))
         ext = analyze_matching(nonunique, m).extension
-        assert labels(ext.edges) == [["x1", "y1", "z1"], ["x2", "y2", "z2"]]
+        assert labels(nonunique, ext.edges) == [["x1", "y1", "z1"], ["x2", "y2", "z2"]]
 
     def test_deficient_extension(self, nonunique):
         m = prefix_matching(nonunique, ("x1", "y2"), ("x2", "y1"))
@@ -196,7 +196,7 @@ class TestExtendMatching:
     def test_gap_extension(self, gap):
         m = prefix_matching(gap, ("1", "3"), ("2", "4"))
         ext = analyze_matching(gap, m).extension
-        assert labels(ext.edges) == [["1", "3", "5"]]
+        assert labels(gap, ext.edges) == [["1", "3", "5"]]
 
     def test_size_law_on_fixtures(self, nonunique, gap, k2_fail, single_edge):
         for h in (nonunique, gap, k2_fail, single_edge):
@@ -213,7 +213,10 @@ class TestPrefixHallVerdict:
         assert (v.pm_count, v.pm_count_is_lower_bound, v.unique) == (2, True, False)
         assert v.conclusion == MATCHING_EXISTS
         assert v.perfect_matching
-        assert labels(v.witness.edges) == [["x1", "y1", "z1"], ["x2", "y2", "z2"]]
+        assert labels(nonunique, v.witness.edges) == [
+            ["x1", "y1", "z1"],
+            ["x2", "y2", "z2"],
+        ]
         deficiencies = sorted(a.hall.deficiency for a in v.per_matching)
         assert deficiencies == [0, 1]
 

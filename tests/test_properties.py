@@ -14,7 +14,6 @@ from kphall import (
     Matching,
     alpha_prime,
     analyze_matching,
-    beta,
     build_hypergraph,
     duality_report,
     enumerate_perfect_matchings,
@@ -79,7 +78,7 @@ def test_prefix_traces_have_neighbors(h):
         assert len(trace) == h.k - 1
         nb = neighborhood(h, trace)
         assert len(nb) >= 1
-        assert all(v.part == h.k - 1 for v in nb)
+        assert all(v in h.parts[-1] for v in nb)
 
 
 @given(instances())
@@ -89,9 +88,9 @@ def test_edge_vertex_completes_its_rest(h):
     for e in h.edges:
         for v in e:
             nb = neighborhood(h, [u for u in e if u != v])
-            if v.part == h.k - 1:
+            if v in h.parts[-1]:
                 assert v in nb
-                assert all(u.part == v.part for u in nb)
+                assert all(u in h.parts[-1] for u in nb)
             else:
                 assert nb == ()
 
@@ -99,8 +98,8 @@ def test_edge_vertex_completes_its_rest(h):
 @given(instances())
 def test_build_is_deterministic(h):
     rebuilt = build_hypergraph(
-        [[v.label for v in part] for part in h.parts],
-        [[v.label for v in e] for e in reversed(h.edges)],
+        [[h.labels[v] for v in part] for part in h.parts],
+        [[h.labels[v] for v in e] for e in reversed(h.edges)],
         strict=False,
     )
     assert rebuilt == h
@@ -146,7 +145,7 @@ def test_extension_size_law(h):
     taken = set(m.edges)
     for e in ext:
         assert h.has_edge(e)
-        assert tuple(v for v in e if v.part < h.k - 1) in taken
+        assert tuple(v for v in e if v not in h.parts[-1]) in taken
 
 
 @settings(max_examples=60, deadline=None)
@@ -219,10 +218,9 @@ def test_enumeration_and_matching_are_repeatable(h):
 def _scan_neighborhood(h, vs):
     """Reference: the last-part vertices of every edge containing ``vs``."""
     need = set(vs)
-    last = h.k - 1
     found = {
         v for e in h.edges if need <= set(e) for v in e
-        if v not in need and v.part == last
+        if v not in need and v in h.parts[-1]
     }
     return tuple(sorted(found))
 
@@ -252,8 +250,8 @@ def test_verdict_analyses_equal_the_public_views(h):
 def _enumeration_reference(h, limit):
     """Reference: first-part choices in lexicographic order, filtered."""
     traces = sorted(
-        {tuple(v for v in e if v.part < h.k - 1) for e in h.edges},
-        key=lambda tr: [v.index for v in tr],
+        {tuple(v for v in e if v not in h.parts[-1]) for e in h.edges},
+        key=lambda tr: [v - part.start for v, part in zip(tr, h.parts)],
     )
     options = [[tr for tr in traces if v in tr] for v in h.parts[0]]
     out = []
@@ -403,7 +401,8 @@ def _min_cover_reference(h, lower):
 def _assert_exact_witnesses_match_references(h):
     expected = _alpha_prime_reference(h)
     assert alpha_prime(h, force=True) == expected
-    assert beta(h, force=True) == _min_cover_reference(h, expected[0])
+    r = duality_report(h, force=True)
+    assert (r.beta, r.min_cover_witness) == _min_cover_reference(h, expected[0])
 
 
 @settings(max_examples=150, deadline=None)
@@ -437,8 +436,8 @@ def _assert_canonical_matching(m):
     )
 )
 def test_internal_matchings_are_canonical_and_disjoint(h):
-    # Internal paths build Matching directly, without Matching.of's
-    # sorting and disjointness check; this is that check.
+    # Every path builds Matching directly, with no sorting or disjointness
+    # check of its own; this is that check.
     for m in enumerate_perfect_matchings(h, limit=3):
         _assert_canonical_matching(m)
         _assert_canonical_matching(analyze_matching(h, m).extension)
@@ -463,13 +462,6 @@ def _accepts_prefix_matching(h, edges):
 @settings(max_examples=150, deadline=None)
 @given(instances(max_edges=12), st.data())
 def test_prefix_matching_check_matches_reference(h, data):
-    # The same instance under other labels: its vertices sit at the same
-    # (part, index) positions as those of h but are not vertices of h.
-    relabeled = build_hypergraph(
-        [["c" + v.label for v in part] for part in h.parts],
-        [["c" + v.label for v in e] for e in h.edges],
-        strict=False,
-    )
     traces = sorted({e[:-1] for e in h.edges})
 
     def pick(options):
@@ -488,13 +480,17 @@ def test_prefix_matching_check_matches_reference(h, data):
         i = data.draw(st.integers(0, len(edges) - 1))
         j = data.draw(st.integers(0, h.k - 2))
         e = edges[i]
-        foreign = e[:j] + (relabeled.parts[j][e[j].index],) + e[j + 1 :]
+        # an id that is no vertex of h (-1 would index the last part), and
+        # a last-part vertex in a prefix slot
+        outside = e[:j] + (pick([-1, len(h.labels)]),) + e[j + 1 :]
+        misplaced = e[:j] + (pick(h.parts[-1]),) + e[j + 1 :]
         candidates += [
             tuple(edges),
             tuple(edges[:i] + [prefix_tuple()] + edges[i + 1 :]),
             tuple(edges[:i] + [pick(h.edges)[1:]] + edges[i + 1 :]),
             tuple(edges[:i] + edges[i + 1 :]),
-            tuple(edges[:i] + [foreign] + edges[i + 1 :]),
+            tuple(edges[:i] + [outside] + edges[i + 1 :]),
+            tuple(edges[:i] + [misplaced] + edges[i + 1 :]),
             tuple(edges + [e]),
         ]
     for edges in candidates:
@@ -589,7 +585,7 @@ def _k3_prefix_count_up_to_2(nx, h):
 
     def perfect(edges):
         graph = nx.Graph()
-        graph.add_nodes_from(left + right)
+        graph.add_nodes_from([*left, *right])
         graph.add_edges_from(edges)
         m = nx.algorithms.bipartite.hopcroft_karp_matching(graph, top_nodes=left)
         return m if len(m) == 2 * len(left) else None
