@@ -14,10 +14,9 @@ from .campaign import CampaignConfig, run_campaign
 from .errors import KphallError
 from .exact import alpha_prime, duality_report
 from .generate import GeneratorParams, gen_planted_unique, gen_random
-from .hypergraph import KPartiteHypergraph, build_hypergraph, neighborhood
+from .hypergraph import KPartiteHypergraph, Matching, build_hypergraph, neighborhood
 from .instance_io import fixture, parse_instance, serialize_instance
 from .matching import (
-    Matching,
     analyze_matching,
     enumerate_perfect_matchings,
     prefix_hall_verdict,

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import Any, Iterable
 
 from .exact import DualityReport, duality_report
-from .hypergraph import KPartiteHypergraph, neighborhood_of_set
-from .matching import HallReport, HallVerdict, Matching, prefix_hall_verdict
+from .hypergraph import KPartiteHypergraph, Matching, neighborhood_of_set
+from .matching import HallVerdict, MatchingAnalysis, prefix_hall_verdict
 
 __all__ = [
     "REPORT_VERSION",
@@ -55,15 +55,15 @@ def edge_labels(h: KPartiteHypergraph, edge: Iterable[int]) -> list[str]:
 
 
 def matching_labels(h: KPartiteHypergraph, m: Matching) -> list[list[str]]:
-    return [edge_labels(h, e) for e in m.edges]
+    return [edge_labels(h, e) for e in m]
 
 
-def _hall_jsonable(h: KPartiteHypergraph, report: HallReport) -> dict[str, Any]:
-    witness = report.witness_violator
+def _hall_jsonable(h: KPartiteHypergraph, a: MatchingAnalysis) -> dict[str, Any]:
+    witness = a.hall.witness_violator
     return {
-        "t": report.t,
-        "max_sdr": report.max_sdr,
-        "deficiency": report.deficiency,
+        "t": len(a.prefix_matching),
+        "max_sdr": len(a.extension),
+        "deficiency": a.hall.deficiency,
         "witness_violator": (
             None if witness is None else [edge_labels(h, s) for s in witness]
         ),
@@ -86,7 +86,7 @@ def verdict_jsonable(h: KPartiteHypergraph, verdict: HallVerdict) -> dict[str, A
         "matchings": [
             {
                 "prefix_matching": matching_labels(h, a.prefix_matching),
-                "hall": _hall_jsonable(h, a.hall),
+                "hall": _hall_jsonable(h, a),
                 "extension": matching_labels(h, a.extension),
                 "extension_size": len(a.extension),
             }

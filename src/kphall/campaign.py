@@ -17,7 +17,8 @@ Properties and the instance mode that feeds them:
 * ``konig`` (random): alpha' <= beta always, both witnesses check out, and
   alpha' = t holds exactly when alpha' = beta = t.
 * ``k2-reduction`` (random, k forced to 2): the verdict agrees with
-  classical bipartite Hall, and alpha' = beta.
+  classical bipartite Hall, read as alpha' = t (a matching saturates the
+  first part), and alpha' = beta (Koenig).
 
 Trials are deterministic in (seed, property, trial index).
 """
@@ -28,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .analysis import edge_labels
+from .analysis import REPORT_VERSION, edge_labels
 from .errors import KphallError
 from .exact import alpha_prime, duality_report
 from .generate import (
@@ -39,13 +40,12 @@ from .generate import (
     randbelow,
     unit_float,
 )
-from .hypergraph import KPartiteHypergraph, neighborhood, neighborhood_of_set
+from .hypergraph import KPartiteHypergraph, neighborhood_of_set
 from .instance_io import serialize_instance
 from .matching import (
     MATCHING_EXISTS,
     NO_MATCHING,
     hall_subset_oracle,
-    max_bipartite_matching,
     prefix_hall_verdict,
 )
 
@@ -99,8 +99,8 @@ def _check_defect_extension(h: KPartiteHypergraph) -> str | None:
     if len(ext) != h.t - d:
         return f"extension has {len(ext)} edges, expected {h.t}-{d}"
     seen = set()
-    prefix_traces = set(chosen.prefix_matching.edges)
-    for e in ext.edges:
+    prefix_traces = set(chosen.prefix_matching)
+    for e in ext:
         if not h.has_edge(e):
             return f"extension edge {edge_labels(h, e)} is not an edge of H"
         if seen & set(e):
@@ -119,10 +119,10 @@ def _check_defect_equivalence(h: KPartiteHypergraph) -> str | None:
     chosen = verdict.chosen
     fast = chosen.hall
     slow = hall_subset_oracle(h, chosen.prefix_matching)
-    if (fast.deficiency, fast.max_sdr) != (slow.deficiency, slow.max_sdr):
+    if fast.deficiency != slow.deficiency:
         return (
-            f"matching route gives d={fast.deficiency}/sdr={fast.max_sdr}, "
-            f"subset oracle gives d={slow.deficiency}/sdr={slow.max_sdr}"
+            f"matching route gives d={fast.deficiency}, "
+            f"subset oracle gives d={slow.deficiency}"
         )
     for label, report in (("matching", fast), ("oracle", slow)):
         witness = report.witness_violator
@@ -157,8 +157,6 @@ def _check_konig(h: KPartiteHypergraph) -> str | None:
         return "cover witness misses an edge"
     if (a == t) != (a == b == t):
         return f"alpha'={a}, beta={b}, t={t}: size-t equivalence broken"
-    if report.has_t_matching != (a == t) or report.konig_equality != (a == b == t):
-        return "report flags disagree with reported numbers"
     return None
 
 
@@ -166,20 +164,18 @@ def _check_k2_reduction(h: KPartiteHypergraph) -> str | None:
     if h.k != 2:
         return f"expected a bipartite instance, got k={h.k}"
     verdict = prefix_hall_verdict(h)
-    inst = tuple([neighborhood(h, (v,)) for v in h.parts[0]])
-    saturated = len(max_bipartite_matching(inst)) == h.t
-    claims_exists = verdict.applicable and verdict.conclusion == MATCHING_EXISTS
-    if claims_exists != saturated:
-        return (
-            f"verdict says {verdict.conclusion or verdict.reason!r} but classical "
-            f"matching {'saturates' if saturated else 'does not saturate'} the first part"
-        )
-    a, _ = alpha_prime(h, force=True)
     report = duality_report(h, force=True)
+    # Classical Hall holds exactly when a matching saturates the first part,
+    # that is alpha' = t; the branch and bound shares no code with the
+    # verdict's augmenting paths.
+    claims_exists = verdict.applicable and verdict.conclusion == MATCHING_EXISTS
+    if claims_exists != report.has_t_matching:
+        return (
+            f"verdict says {verdict.conclusion or verdict.reason!r} but "
+            f"alpha'={report.alpha_prime} with t={h.t}"
+        )
     if report.alpha_prime != report.beta:
         return f"bipartite alpha'={report.alpha_prime} != beta={report.beta}"
-    if a != report.alpha_prime:
-        return "alpha' not reproducible"
     return None
 
 
@@ -342,7 +338,7 @@ def campaign_jsonable(report: CampaignReport) -> dict[str, Any]:
     """
     cfg = report.config
     return {
-        "report_version": "1",
+        "report_version": REPORT_VERSION,
         "config": {
             "trials": cfg.trials,
             "seed": cfg.seed,

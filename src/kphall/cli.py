@@ -16,7 +16,13 @@ import os
 import sys
 from pathlib import Path
 
-from .analysis import analysis_jsonable, analyze_instance, edge_labels, matching_labels
+from .analysis import (
+    REPORT_VERSION,
+    analysis_jsonable,
+    analyze_instance,
+    edge_labels,
+    matching_labels,
+)
 from .campaign import (
     MODES,
     PROPERTY_NAMES,
@@ -27,9 +33,9 @@ from .campaign import (
 from .errors import KphallError, TooLargeError
 from .exact import DualityReport
 from .generate import GeneratorParams, gen_planted_unique, gen_random
-from .hypergraph import Edge, KPartiteHypergraph, rotate_parts
+from .hypergraph import Edge, KPartiteHypergraph, Matching, rotate_parts
 from .instance_io import parse_instance, serialize_instance
-from .matching import HallVerdict, Matching, prefix_hall_verdict
+from .matching import HallVerdict, prefix_hall_verdict
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -137,12 +143,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--last-size", type=int, help="planted mode: last part size (default t)"
     )
     p.add_argument(
-        "--density", type=float, default=0.4, help="planted mode: trace density"
+        "--density",
+        type=float,
+        default=GeneratorParams.trace_density,
+        help="planted mode: trace density",
     )
     p.add_argument(
         "--attach",
         type=int,
-        default=2,
+        default=GeneratorParams.attachments_per_trace,
         help="planted mode: max attachments per trace",
     )
 
@@ -173,7 +182,7 @@ def _edge_text(h: KPartiteHypergraph, edge: Edge) -> str:
 
 
 def _matching_text(h: KPartiteHypergraph, m: Matching) -> str:
-    return " | ".join([_edge_text(h, e) for e in m.edges])
+    return " | ".join([_edge_text(h, e) for e in m])
 
 
 def _format_verdict(h: KPartiteHypergraph, verdict: HallVerdict) -> list[str]:
@@ -216,7 +225,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     if args.json:
         _print_json(
             {
-                "report_version": "1",
+                "report_version": REPORT_VERSION,
                 "valid": True,
                 "k": h.k,
                 "part_sizes": list(h.part_sizes),
@@ -258,7 +267,7 @@ def _cmd_extend(args: argparse.Namespace) -> int:
     if args.json:
         _print_json(
             {
-                "report_version": "1",
+                "report_version": REPORT_VERSION,
                 "prefix_matching": matching_labels(h, chosen.prefix_matching),
                 "deficiency": chosen.hall.deficiency,
                 "size": len(extension),

@@ -21,8 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import TooLargeError
-from .hypergraph import KPartiteHypergraph
-from .matching import Matching
+from .hypergraph import KPartiteHypergraph, Matching
 
 __all__ = [
     "DualityReport",
@@ -40,8 +39,9 @@ SOLVER_VERTEX_LIMIT = 40
 class DualityReport:
     """Maximum matching vs minimum vertex cover, with both witnesses.
 
-    ``has_t_matching`` and ``konig_equality`` are computed from independent
-    searches so their equivalence stays testable.
+    ``alpha_prime`` and ``beta`` come from separate searches.  The flags
+    ``has_t_matching`` (alpha' = t) and ``konig_equality`` (alpha' = beta
+    = t) are computed from them, not stored.
     """
 
     alpha_prime: int
@@ -49,8 +49,14 @@ class DualityReport:
     t: int
     max_matching_witness: Matching
     min_cover_witness: tuple[int, ...]
-    has_t_matching: bool
-    konig_equality: bool
+
+    @property
+    def has_t_matching(self) -> bool:
+        return self.alpha_prime == self.t
+
+    @property
+    def konig_equality(self) -> bool:
+        return self.alpha_prime == self.beta == self.t
 
 
 def _guard(h: KPartiteHypergraph, force: bool) -> None:
@@ -126,7 +132,7 @@ def alpha_prime(
 
     # Edges taken in canonical order and pairwise disjoint: already canonical.
     edges = h.edges
-    return len(best), Matching(tuple([edges[j] for j in best]))
+    return len(best), tuple([edges[j] for j in best])
 
 
 def _min_cover(h: KPartiteHypergraph, lower: int) -> tuple[int, tuple[int, ...]]:
@@ -202,16 +208,13 @@ def _min_cover(h: KPartiteHypergraph, lower: int) -> tuple[int, tuple[int, ...]]
 
 
 def duality_report(h: KPartiteHypergraph, *, force: bool = False) -> DualityReport:
-    """Assemble maximum matching, minimum cover, and the size-t equality flags."""
+    """Maximum matching and minimum cover of ``h``, with their witnesses."""
     a, matching_witness = alpha_prime(h, force=force)
     b, cover_witness = _min_cover(h, a)
-    t = h.t
     return DualityReport(
         alpha_prime=a,
         beta=b,
-        t=t,
+        t=h.t,
         max_matching_witness=matching_witness,
         min_cover_witness=cover_witness,
-        has_t_matching=a == t,
-        konig_equality=a == b == t,
     )

@@ -104,13 +104,16 @@ def derive_seed(seed: int, *path: int | str) -> int:
 
 @dataclass(frozen=True)
 class GeneratorParams:
-    """Shape and density knobs; the mode is picked by the function called."""
+    """Shape and density knobs; the mode is picked by the function called.
+
+    Random mode reads ``edge_probability``; planted mode reads the other two.
+    """
 
     k: int
     part_sizes: tuple[int, ...]
     edge_probability: float | None = None
-    trace_density: float | None = None
-    attachments_per_trace: int | None = None
+    trace_density: float = 0.4
+    attachments_per_trace: int = 2
 
     def _check_shape(self) -> None:
         if self.k < 2:
@@ -185,12 +188,10 @@ def gen_planted_unique(params: GeneratorParams, seed: int) -> KPartiteHypergraph
     on failure.  Exhausting the retries indicates a bug, not bad luck.
     """
     params._check_shape()
-    density = 0.4 if params.trace_density is None else params.trace_density
+    density = params.trace_density
     if not 0.0 <= density <= 1.0:
         raise ValueError("trace_density must be in [0, 1]")
-    attachments = (
-        2 if params.attachments_per_trace is None else params.attachments_per_trace
-    )
+    attachments = params.attachments_per_trace
     if attachments < 1:
         raise ValueError("attachments_per_trace must be >= 1")
 

@@ -47,6 +47,7 @@ from .errors import (
 
 __all__ = [
     "Edge",
+    "Matching",
     "KPartiteHypergraph",
     "build_hypergraph",
     "prefix_traces",
@@ -56,6 +57,8 @@ __all__ = [
 ]
 
 Edge = tuple[int, ...]
+# Pairwise disjoint edges in canonical order.
+Matching = tuple[Edge, ...]
 
 
 @dataclass(frozen=True)

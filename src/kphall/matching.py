@@ -25,10 +25,9 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import NotPerfectPrefixMatchingError, TooLargeError
-from .hypergraph import Edge, KPartiteHypergraph, prefix_traces
+from .hypergraph import Edge, KPartiteHypergraph, Matching, prefix_traces
 
 __all__ = [
-    "Matching",
     "HallReport",
     "MatchingAnalysis",
     "HallVerdict",
@@ -38,7 +37,6 @@ __all__ = [
     "SUBSET_ORACLE_LIMIT",
     "enumerate_perfect_matchings",
     "sdr_instance",
-    "max_bipartite_matching",
     "analyze_matching",
     "hall_subset_oracle",
     "prefix_hall_verdict",
@@ -52,24 +50,9 @@ SUBSET_ORACLE_LIMIT = 20
 
 
 @dataclass(frozen=True)
-class Matching:
-    """A set of pairwise disjoint edges, stored in canonical order."""
-
-    edges: tuple[Edge, ...]
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-    def __iter__(self):
-        return iter(self.edges)
-
-
-@dataclass(frozen=True)
 class HallReport:
     """Deficiency of the neighborhood family of a prefix perfect matching."""
 
-    t: int
-    max_sdr: int
     deficiency: int
     witness_violator: tuple[Edge, ...] | None
 
@@ -176,7 +159,7 @@ def enumerate_perfect_matchings(
             stack.append(iter(by_anchor[len(chosen)]))
             continue
         # Taken in first-part order and pairwise disjoint: already canonical.
-        found.append(Matching(tuple([members[c] for c in chosen])))
+        found.append(tuple([members[c] for c in chosen]))
         if len(found) >= limit:
             break
         chosen.pop()
@@ -186,7 +169,7 @@ def enumerate_perfect_matchings(
 
 def _check_prefix_matching(h: KPartiteHypergraph, m: Matching) -> None:
     covered: set[int] = set()
-    for e in m.edges:
+    for e in m:
         # An id that is not a vertex of h is in no trace.
         if e not in h._traces:
             raise NotPerfectPrefixMatchingError(f"{list(e)} is not a prefix trace")
@@ -204,7 +187,7 @@ def _check_prefix_matching(h: KPartiteHypergraph, m: Matching) -> None:
 def sdr_instance(h: KPartiteHypergraph, m: Matching) -> tuple[tuple[int, ...], ...]:
     """SDR instance of a prefix perfect matching: each element's candidates."""
     _check_prefix_matching(h, m)
-    return tuple([h._traces[e] for e in m.edges])
+    return tuple([h._traces[e] for e in m])
 
 
 def _kuhn(
@@ -245,14 +228,6 @@ def _kuhn(
     return match_left, match_right
 
 
-def max_bipartite_matching(
-    inst: tuple[tuple[int, ...], ...]
-) -> tuple[tuple[int, int], ...]:
-    """Maximum set of (element index, candidate) pairs, all distinct."""
-    match_left, _ = _kuhn(inst)
-    return tuple([(i, v) for i, v in enumerate(match_left) if v is not None])
-
-
 def _violator_cut(
     inst: tuple[tuple[int, ...], ...],
     match_left: list[int | None],
@@ -279,32 +254,26 @@ def _violator_cut(
 def analyze_matching(h: KPartiteHypergraph, m: Matching) -> MatchingAnalysis:
     """Hall deficiency, violator and extension of a prefix perfect matching.
 
-    One SDR instance and one augmenting-path run give all three.
-    ``hall.max_sdr`` is the size of a maximum partial transversal; the
-    witness, present exactly when the deficiency is positive, is a subset A
-    of the matching with |N(A)| = |A| - deficiency.  Each matched (element,
-    vertex) pair becomes the hyperedge element + vertex of the extension,
-    which always has exactly t - deficiency edges.
+    One SDR instance and one augmenting-path run give all three.  Each
+    matched (element, vertex) pair becomes the hyperedge element + vertex of
+    the extension, a maximum partial transversal, so the extension always
+    has exactly t - deficiency edges.  The witness, present exactly when the
+    deficiency is positive, is a subset A of the matching with
+    |N(A)| = |A| - deficiency.
     """
     inst = sdr_instance(h, m)
     match_left, match_right = _kuhn(inst)
-    t = len(m.edges)
-    max_sdr = sum(1 for v in match_left if v is not None)
-    deficiency = t - max_sdr
+    # The elements are disjoint and in canonical order, and a last-part
+    # vertex sorts after them, so the extension is canonical as built.
+    extension = tuple([e + (v,) for e, v in zip(m, match_left) if v is not None])
+    deficiency = len(m) - len(extension)
     witness = None
     if deficiency > 0:
         cut = _violator_cut(inst, match_left, match_right)
-        witness = tuple([m.edges[i] for i in cut])
-    # The elements are disjoint and in canonical order, and a last-part
-    # vertex sorts after them, so the extension is canonical as built.
-    extension = Matching(
-        tuple([e + (v,) for e, v in zip(m.edges, match_left) if v is not None])
-    )
+        witness = tuple([m[i] for i in cut])
     return MatchingAnalysis(
         prefix_matching=m,
-        hall=HallReport(
-            t=t, max_sdr=max_sdr, deficiency=deficiency, witness_violator=witness
-        ),
+        hall=HallReport(deficiency=deficiency, witness_violator=witness),
         extension=extension,
     )
 
@@ -336,26 +305,23 @@ def hall_subset_oracle(h: KPartiteHypergraph, m: Matching) -> HallReport:
             best_mask = mask
     witness = None
     if best > 0:
-        witness = tuple([m.edges[i] for i in range(t) if best_mask >> i & 1])
-    return HallReport(
-        t=t, max_sdr=t - best, deficiency=best, witness_violator=witness
-    )
+        witness = tuple([m[i] for i in range(t) if best_mask >> i & 1])
+    return HallReport(deficiency=best, witness_violator=witness)
 
 
 @dataclass(frozen=True)
 class HallVerdict:
     """Outcome of the prefix-matching criterion for a matching of size t.
 
-    ``pm_count`` counts enumerated prefix perfect matchings and is a lower
-    bound when ``pm_count_is_lower_bound`` (enumeration stopped at the cap).
-    A positive or negative ``conclusion`` is only licensed per the rules in
+    ``per_matching`` holds one analysis per enumerated prefix perfect
+    matching; ``pm_count``, their number, is a lower bound when
+    ``pm_count_is_lower_bound`` (enumeration stopped at the cap).  A positive or negative ``conclusion`` is only licensed per the rules in
     ``prefix_hall_verdict``; otherwise it is inconclusive.
     """
 
     applicable: bool
     reason: str | None
     t: int
-    pm_count: int
     pm_count_is_lower_bound: bool
     unique: bool | None
     per_matching: tuple[MatchingAnalysis, ...]
@@ -365,17 +331,20 @@ class HallVerdict:
     perfect_matching: bool
 
     @property
+    def pm_count(self) -> int:
+        return len(self.per_matching)
+
+    @property
     def chosen(self) -> MatchingAnalysis | None:
         """Analysis of the first prefix matching in canonical order."""
         return self.per_matching[0] if self.per_matching else None
 
 
-def _not_applicable(t: int, pm_count: int, reason: str) -> HallVerdict:
+def _not_applicable(t: int, reason: str) -> HallVerdict:
     return HallVerdict(
         applicable=False,
         reason=reason,
         t=t,
-        pm_count=pm_count,
         pm_count_is_lower_bound=False,
         unique=None,
         per_matching=(),
@@ -407,12 +376,12 @@ def prefix_hall_verdict(h: KPartiteHypergraph, *, limit: int = 2) -> HallVerdict
     prefix_sizes = set(len(p) for p in h.parts[:-1])
     if prefix_sizes != {t}:
         return _not_applicable(
-            t, 0, f"prefix part sizes {sorted(prefix_sizes)} are not all {t}"
+            t, f"prefix part sizes {sorted(prefix_sizes)} are not all {t}"
         )
 
     matchings = enumerate_perfect_matchings(h, limit=limit)
     if not matchings:
-        return _not_applicable(t, 0, "prefix subhypergraph has no perfect matching")
+        return _not_applicable(t, "prefix subhypergraph has no perfect matching")
 
     # Uniqueness is only known when enumeration exhausted the search; with
     # limit 1 a single hit leaves it undetermined (None).
@@ -458,7 +427,6 @@ def prefix_hall_verdict(h: KPartiteHypergraph, *, limit: int = 2) -> HallVerdict
         applicable=True,
         reason=None,
         t=t,
-        pm_count=len(matchings),
         pm_count_is_lower_bound=len(matchings) == limit,
         unique=unique,
         per_matching=tuple(analyses),

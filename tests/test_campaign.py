@@ -1,9 +1,12 @@
-"""Campaign runner: configuration, determinism, report shape."""
+"""Campaign runner: configuration, determinism, report shape, checks."""
+
+import dataclasses
 
 import pytest
 
-from kphall import CampaignConfig, parse_instance, run_campaign
+from kphall import CampaignConfig, build_hypergraph, parse_instance, run_campaign
 from kphall.campaign import MODES, PROPERTY_NAMES, campaign_jsonable
+from kphall.matching import MATCHING_EXISTS, NO_MATCHING
 
 
 class TestConfig:
@@ -76,6 +79,30 @@ class TestRun:
         assert failure["message"] == "synthetic failure"
         replayed = parse_instance(failure["instance"], strict=False)
         assert replayed.k >= 2
+
+
+@pytest.mark.parametrize(
+    "edges, flipped, expected",
+    [
+        # Hall fails: a and b both see only c.
+        ([["a", "c"], ["b", "c"]], MATCHING_EXISTS, 1),
+        # The perfect matching a-c, b-d exists.
+        ([["a", "c"], ["b", "d"]], NO_MATCHING, 2),
+    ],
+)
+def test_k2_reduction_catches_a_wrong_verdict(monkeypatch, edges, flipped, expected):
+    import kphall.campaign as campaign_module
+
+    check = campaign_module._check_k2_reduction
+    h = build_hypergraph([["a", "b"], ["c", "d"]], edges, strict=False)
+    assert check(h) is None
+    verdict = campaign_module.prefix_hall_verdict
+
+    def flipped_verdict(h, **kwargs):
+        return dataclasses.replace(verdict(h, **kwargs), conclusion=flipped)
+
+    monkeypatch.setattr(campaign_module, "prefix_hall_verdict", flipped_verdict)
+    assert check(h) == f"verdict says {flipped!r} but alpha'={expected} with t=2"
 
 
 def test_property_and_mode_names_are_stable():

@@ -27,12 +27,12 @@ class TestAlphaPrime:
     def test_gap(self, gap):
         value, witness = alpha_prime(gap)
         assert value == 1
-        assert labels(gap, witness.edges) == [["1", "3", "5"]]
+        assert labels(gap, witness) == [["1", "3", "5"]]
 
     def test_nonunique(self, nonunique):
         value, witness = alpha_prime(nonunique)
         assert value == 2
-        assert labels(nonunique, witness.edges) == [
+        assert labels(nonunique, witness) == [
             ["x1", "y1", "z1"],
             ["x2", "y2", "z2"],
         ]
@@ -136,7 +136,7 @@ class TestBoundsPrune:
         h = build_hypergraph(parts, edges, strict=False)
         value, witness = alpha_prime(h, force=True)
         assert value == 11
-        assert labels(h, witness.edges) == [
+        assert labels(h, witness) == [
             [f"a{i:02d}", f"b{i:02d}"] for i in range(11)
         ]
 
@@ -210,7 +210,7 @@ def test_duality_report_matches_ilp(sizes, p):
         assert r.alpha_prime == round(-matching.fun)
         assert r.beta == round(cover.fun)
         # Both witnesses are feasible points of their programs, at the optimum.
-        chosen = set(r.max_matching_witness.edges)
+        chosen = set(r.max_matching_witness)
         x = np.array([e in chosen for e in h.edges], dtype=float)
         assert (incidence @ x <= 1).all() and x.sum() == r.alpha_prime
         in_cover = set(r.min_cover_witness)

@@ -3,7 +3,6 @@
 import pytest
 
 from kphall import (
-    Matching,
     analyze_matching,
     build_hypergraph,
     enumerate_perfect_matchings,
@@ -15,8 +14,8 @@ from kphall.matching import (
     INCONCLUSIVE,
     MATCHING_EXISTS,
     NO_MATCHING,
+    _kuhn,
     hall_subset_oracle,
-    max_bipartite_matching,
     sdr_instance,
 )
 from conftest import labels, vertex
@@ -27,7 +26,7 @@ def vertex_tuple(h, names):
 
 
 def prefix_matching(h, *edges):
-    return Matching(tuple(sorted(vertex_tuple(h, e) for e in edges)))
+    return tuple(sorted(vertex_tuple(h, e) for e in edges))
 
 
 class TestEnumeratePerfectMatchings:
@@ -47,7 +46,7 @@ class TestEnumeratePerfectMatchings:
     def test_gap_prefix_is_unique(self, gap):
         ms = enumerate_perfect_matchings(gap, limit=5)
         assert len(ms) == 1
-        assert labels(gap, ms[0].edges) == [["1", "3"], ["2", "4"]]
+        assert labels(gap, ms[0]) == [["1", "3"], ["2", "4"]]
 
     def test_unequal_part_sizes_no_pm(self):
         h = build_hypergraph(
@@ -63,7 +62,7 @@ class TestEnumeratePerfectMatchings:
         pairs = [("x1", "y1"), ("x1", "y2"), ("x2", "y1"), ("x2", "y2"), ("x3", "y3")]
         h = build_hypergraph(parts, [[x, y, "z"] for x, y in pairs])
         ms = enumerate_perfect_matchings(h, limit=3)
-        assert [labels(h, m.edges) for m in ms] == [
+        assert [labels(h, m) for m in ms] == [
             [["x1", "y1"], ["x2", "y2"], ["x3", "y3"]],
             [["x1", "y2"], ["x2", "y1"], ["x3", "y3"]],
         ]
@@ -77,35 +76,38 @@ class TestEnumeratePerfectMatchings:
         assert enumerate_perfect_matchings(h, limit=2) == []
 
 
-class TestMaxBipartiteMatching:
+class TestKuhn:
     def _inst(self, h, adjacency):
         return tuple(tuple(vertex(h, x) for x in vs) for vs in adjacency.values())
 
     def test_competing_singletons(self, gap):
         inst = self._inst(gap, {("1", "3"): ("5",), ("2", "4"): ("5",)})
-        assert len(max_bipartite_matching(inst)) == 1
+        z = vertex(gap, "5")
+        assert _kuhn(inst) == ([z, None], {z: 0})
 
     def test_disjoint_singletons(self, nonunique):
         inst = self._inst(
             nonunique, {("x1", "y1"): ("z1",), ("x2", "y2"): ("z2",)}
         )
-        pairs = max_bipartite_matching(inst)
-        assert [(i, nonunique.labels[v]) for i, v in pairs] == [(0, "z1"), (1, "z2")]
+        match_left, match_right = _kuhn(inst)
+        assert [nonunique.labels[v] for v in match_left] == ["z1", "z2"]
+        assert match_right == {v: i for i, v in enumerate(match_left)}
 
     def test_empty_left(self, gap):
-        assert max_bipartite_matching(()) == ()
+        assert _kuhn(()) == ([], {})
 
     def test_deterministic(self, gap):
         m = prefix_matching(gap, ("1", "3"), ("2", "4"))
         inst = sdr_instance(gap, m)
-        assert max_bipartite_matching(inst) == max_bipartite_matching(inst)
+        assert _kuhn(inst) == _kuhn(inst)
 
 
 class TestHallDeficiency:
     def test_violating_prefix_matching(self, nonunique):
         m = prefix_matching(nonunique, ("x1", "y2"), ("x2", "y1"))
-        r = analyze_matching(nonunique, m).hall
-        assert (r.t, r.max_sdr, r.deficiency) == (2, 1, 1)
+        a = analyze_matching(nonunique, m)
+        r = a.hall
+        assert (len(m), len(a.extension), r.deficiency) == (2, 1, 1)
         assert labels(nonunique, r.witness_violator) == [
             ["x1", "y2"],
             ["x2", "y1"],
@@ -145,7 +147,7 @@ class TestHallDeficiency:
     def test_rejects_ids_outside_the_instance(self, nonunique, check, bad):
         # -1 would index the last part and 6 (= n) no vertex at all
         x1, x2y2 = vertex(nonunique, "x1"), vertex_tuple(nonunique, ["x2", "y2"])
-        m = Matching(((x1, bad), x2y2))
+        m = ((x1, bad), x2y2)
         with pytest.raises(NotPerfectPrefixMatchingError, match=rf"\[0, {bad}\]"):
             check(nonunique, m)
 
@@ -161,7 +163,7 @@ class TestHallSubsetOracle:
             m = prefix_matching(h, *edges)
             fast = analyze_matching(h, m).hall
             slow = hall_subset_oracle(h, m)
-            assert (fast.deficiency, fast.max_sdr) == (slow.deficiency, slow.max_sdr)
+            assert fast.deficiency == slow.deficiency
 
     def test_oracle_witness_attains_deficiency(self, gap):
         m = prefix_matching(gap, ("1", "3"), ("2", "4"))
@@ -177,7 +179,7 @@ class TestHallSubsetOracle:
         ]
         edges = [[f"a{i:02d}", f"b{i:02d}"] for i in range(t)]
         h = build_hypergraph(parts, edges)
-        m = Matching(tuple([vertex_tuple(h, [f"a{i:02d}"]) for i in range(t)]))
+        m = tuple([vertex_tuple(h, [f"a{i:02d}"]) for i in range(t)])
         with pytest.raises(TooLargeError):
             hall_subset_oracle(h, m)
 
@@ -186,7 +188,7 @@ class TestExtendMatching:
     def test_full_extension(self, nonunique):
         m = prefix_matching(nonunique, ("x1", "y1"), ("x2", "y2"))
         ext = analyze_matching(nonunique, m).extension
-        assert labels(nonunique, ext.edges) == [["x1", "y1", "z1"], ["x2", "y2", "z2"]]
+        assert labels(nonunique, ext) == [["x1", "y1", "z1"], ["x2", "y2", "z2"]]
 
     def test_deficient_extension(self, nonunique):
         m = prefix_matching(nonunique, ("x1", "y2"), ("x2", "y1"))
@@ -196,14 +198,14 @@ class TestExtendMatching:
     def test_gap_extension(self, gap):
         m = prefix_matching(gap, ("1", "3"), ("2", "4"))
         ext = analyze_matching(gap, m).extension
-        assert labels(gap, ext.edges) == [["1", "3", "5"]]
+        assert labels(gap, ext) == [["1", "3", "5"]]
 
     def test_size_law_on_fixtures(self, nonunique, gap, k2_fail, single_edge):
         for h in (nonunique, gap, k2_fail, single_edge):
             ms = enumerate_perfect_matchings(h, limit=4)
             for m in ms:
                 a = analyze_matching(h, m)
-                assert len(a.extension) == a.hall.t - a.hall.deficiency
+                assert len(a.extension) == len(m) - a.hall.deficiency
 
 
 class TestPrefixHallVerdict:
@@ -213,7 +215,7 @@ class TestPrefixHallVerdict:
         assert (v.pm_count, v.pm_count_is_lower_bound, v.unique) == (2, True, False)
         assert v.conclusion == MATCHING_EXISTS
         assert v.perfect_matching
-        assert labels(nonunique, v.witness.edges) == [
+        assert labels(nonunique, v.witness) == [
             ["x1", "y1", "z1"],
             ["x2", "y2", "z2"],
         ]

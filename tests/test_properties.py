@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from kphall import (
     GeneratorParams,
-    Matching,
     alpha_prime,
     analyze_matching,
     build_hypergraph,
@@ -27,8 +26,8 @@ from kphall.hypergraph import neighborhood_of_set, prefix_traces
 from kphall.matching import (
     MATCHING_EXISTS,
     NO_MATCHING,
+    _kuhn,
     hall_subset_oracle,
-    max_bipartite_matching,
     sdr_instance,
 )
 
@@ -110,7 +109,7 @@ def test_build_is_deterministic(h):
 
 
 def brute_deficiency(h, m):
-    subs = list(m.edges)
+    subs = list(m)
     worst = 0
     for r in range(len(subs) + 1):
         for combo in itertools.combinations(subs, r):
@@ -125,7 +124,6 @@ def test_deficiency_routes_agree(h):
     fast = analyze_matching(h, m).hall
     slow = hall_subset_oracle(h, m)
     assert fast.deficiency == slow.deficiency == brute_deficiency(h, m)
-    assert fast.max_sdr == slow.max_sdr
     for report in (fast, slow):
         if report.deficiency > 0:
             witness = report.witness_violator
@@ -141,8 +139,8 @@ def test_extension_size_law(h):
     (m,) = enumerate_perfect_matchings(h, limit=2)
     analysis = analyze_matching(h, m)
     report, ext = analysis.hall, analysis.extension
-    assert len(ext) == report.t - report.deficiency
-    taken = set(m.edges)
+    assert len(ext) == len(m) - report.deficiency
+    taken = set(m)
     for e in ext:
         assert h.has_edge(e)
         assert tuple(v for v in e if v not in h.parts[-1]) in taken
@@ -192,10 +190,10 @@ def test_bipartite_konig_and_hall_reduction(h):
     r = duality_report(h, force=True)
     assert r.alpha_prime == r.beta
     inst = tuple(neighborhood(h, (v,)) for v in h.parts[0])
-    saturated = len(max_bipartite_matching(inst)) == h.t
+    saturated = None not in _kuhn(inst)[0]
     v = prefix_hall_verdict(h)
     claims = v.applicable and v.conclusion == MATCHING_EXISTS
-    assert claims == saturated
+    assert claims == saturated == (r.alpha_prime == h.t)
 
 
 # --- determinism -----------------------------------------------------------
@@ -209,7 +207,7 @@ def test_enumeration_and_matching_are_repeatable(h):
     assert first == second
     m = first[0]
     inst = sdr_instance(h, m)
-    assert max_bipartite_matching(inst) == max_bipartite_matching(inst)
+    assert _kuhn(inst) == _kuhn(inst)
 
 
 # --- single computations against their references -------------------------
@@ -267,7 +265,7 @@ def test_enumeration_order_matches_lexicographic_reference(h, limit):
     if len(set(h.part_sizes[:-1])) > 1:
         return
     found = enumerate_perfect_matchings(h, limit=limit)
-    assert [list(m.edges) for m in found] == _enumeration_reference(h, limit)
+    assert [list(m) for m in found] == _enumeration_reference(h, limit)
 
 
 @st.composite
@@ -300,7 +298,7 @@ def dense_prefix_instances(draw):
 @given(dense_prefix_instances(), st.integers(1, 4))
 def test_dense_enumeration_matches_lexicographic_reference(h, limit):
     found = enumerate_perfect_matchings(h, limit=limit)
-    assert [list(m.edges) for m in found] == _enumeration_reference(h, limit)
+    assert [list(m) for m in found] == _enumeration_reference(h, limit)
 
 
 def _kuhn_reference(inst):
@@ -322,14 +320,14 @@ def _kuhn_reference(inst):
 
     for i in range(len(inst)):
         augment(i, set())
-    return tuple((i, v) for i, v in enumerate(match_left) if v is not None)
+    return match_left, match_right
 
 
 @settings(max_examples=100, deadline=None)
 @given(instances(min_k=2, max_k=2, max_part=5, max_edges=20))
 def test_kuhn_matches_recursive_reference(h):
     inst = tuple(neighborhood(h, (v,)) for v in h.parts[0])
-    assert max_bipartite_matching(inst) == _kuhn_reference(inst)
+    assert _kuhn(inst) == _kuhn_reference(inst)
 
 
 def _alpha_prime_reference(h):
@@ -361,7 +359,7 @@ def _alpha_prime_reference(h):
                 return
 
     walk(0, frozenset(), [])
-    return len(best), Matching(tuple(edges[j] for j in best))
+    return len(best), tuple(edges[j] for j in best)
 
 
 def _min_cover_reference(h, lower):
@@ -421,9 +419,9 @@ def test_bounded_exact_witnesses_match_on_larger_instances(h):
 
 
 def _assert_canonical_matching(m):
-    assert m.edges == tuple(sorted(m.edges))
-    assert all(e == tuple(sorted(e)) for e in m.edges)
-    vertices = [v for e in m.edges for v in e]
+    assert m == tuple(sorted(m))
+    assert all(e == tuple(sorted(e)) for e in m)
+    vertices = [v for e in m for v in e]
     assert len(vertices) == len(set(vertices))
 
 
@@ -476,7 +474,7 @@ def test_prefix_matching_check_matches_reference(h, data):
         tuple(prefix_tuple() for _ in range(h.t)),
     ]
     for m in enumerate_perfect_matchings(h, limit=3):
-        edges = list(m.edges)
+        edges = list(m)
         i = data.draw(st.integers(0, len(edges) - 1))
         j = data.draw(st.integers(0, h.k - 2))
         e = edges[i]
@@ -495,7 +493,7 @@ def test_prefix_matching_check_matches_reference(h, data):
         ]
     for edges in candidates:
         try:
-            sdr_instance(h, Matching(edges))
+            sdr_instance(h, edges)
             accepted = True
         except NotPerfectPrefixMatchingError:
             accepted = False
@@ -552,8 +550,8 @@ def test_sdr_size_matches_networkx_hopcroft_karp(h):
         pairs = nx.algorithms.bipartite.hopcroft_karp_matching(graph, top_nodes=left)
         analysis = analyze_matching(h, m)
         report = analysis.hall
-        assert report.t == h.t > 20
-        assert report.t - report.deficiency == len(pairs) // 2
+        assert len(m) == h.t > 20
+        assert len(m) - report.deficiency == len(pairs) // 2
         assert len(analysis.extension) == len(pairs) // 2
 
 
