@@ -79,7 +79,7 @@ def verdict_jsonable(h: KPartiteHypergraph, verdict: HallVerdict) -> dict[str, A
     return {
         "applicable": verdict.applicable,
         "reason": verdict.reason,
-        "t": verdict.t,
+        "t": h.t,
         "pm_count": verdict.pm_count,
         "pm_count_is_lower_bound": verdict.pm_count_is_lower_bound,
         "unique": verdict.unique,

@@ -6,11 +6,17 @@ text by default; ``--json`` switches to a stable machine-readable schema.
 Exit codes: 0 success, 2 input or configuration error, 3 criterion not
 applicable (extend without a prefix perfect matching), 4 write failure,
 including a stdout whose reader has gone.
+
+``main`` may be called any number of times in one process.  The argument
+parser is built on the first call and reused, since parsing never changes
+it; ``validate``, ``analyze`` and ``extend`` never load OpenSSL, which only
+``generate`` and ``verify`` need to draw instances.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -99,6 +105,7 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(values)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kphall",
@@ -194,7 +201,7 @@ def _format_verdict(h: KPartiteHypergraph, verdict: HallVerdict) -> list[str]:
         verdict.pm_count
     )
     uniq = "unique" if verdict.unique else "not unique"
-    lines.append(f"prefix perfect matchings: {count} ({uniq}), t={verdict.t}")
+    lines.append(f"prefix perfect matchings: {count} ({uniq}), t={h.t}")
     for i, a in enumerate(verdict.per_matching, start=1):
         d = a.hall.deficiency
         line = f"  M{i} = {_matching_text(h, a.prefix_matching)}: deficiency {d}"
@@ -330,7 +337,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             p.strip() for p in args.properties.split(",") if p.strip()
         ),
     )
-    config.validate()
     report = run_campaign(config)
     if args.json:
         _print_json(campaign_jsonable(report))

@@ -6,7 +6,9 @@ on evaluation order and equal (params, seed) always produce byte-identical
 instances.  Value i of the stream at (seed, path) is the first 8 bytes of
 SHA-256 over the encoded (seed, *path, i), scaled to [0, 1); `_stream`
 yields values 0..n-1 of one path, hashing the path's prefix once and
-copying that state per value.
+copying that state per value.  ``hashlib`` (and with it OpenSSL) is
+imported by the first draw, not by importing this module, so a process
+that never draws an instance never loads it.
 
 Two modes:
 
@@ -21,7 +23,6 @@ Two modes:
 
 from __future__ import annotations
 
-import hashlib
 import struct
 from dataclasses import dataclass
 from itertools import product
@@ -49,10 +50,15 @@ _PLANTED_RETRIES = 100
 _COUNTER = struct.Struct(">cq")
 # a value's head: the first 8 digest bytes as an unsigned big-endian int
 _HEAD = struct.Struct(">Q")
+# hashlib.sha256, bound by the first draw: importing hashlib loads OpenSSL
+_sha256 = None
 
 
 def _hasher(seed: int, *path: int | str):
-    hasher = hashlib.sha256()
+    global _sha256
+    if _sha256 is None:
+        from hashlib import sha256 as _sha256
+    hasher = _sha256()
     hasher.update(struct.pack(">Q", seed & _MASK64))
     for item in path:
         if isinstance(item, str):

@@ -311,17 +311,17 @@ def hall_subset_oracle(h: KPartiteHypergraph, m: Matching) -> HallReport:
 
 @dataclass(frozen=True)
 class HallVerdict:
-    """Outcome of the prefix-matching criterion for a matching of size t.
+    """Outcome of the prefix-matching criterion for a matching of size h.t.
 
     ``per_matching`` holds one analysis per enumerated prefix perfect
     matching; ``pm_count``, their number, is a lower bound when
-    ``pm_count_is_lower_bound`` (enumeration stopped at the cap).  A positive or negative ``conclusion`` is only licensed per the rules in
+    ``pm_count_is_lower_bound`` (enumeration stopped at the cap).  A
+    positive or negative ``conclusion`` is only licensed per the rules in
     ``prefix_hall_verdict``; otherwise it is inconclusive.
     """
 
     applicable: bool
     reason: str | None
-    t: int
     pm_count_is_lower_bound: bool
     unique: bool | None
     per_matching: tuple[MatchingAnalysis, ...]
@@ -340,11 +340,10 @@ class HallVerdict:
         return self.per_matching[0] if self.per_matching else None
 
 
-def _not_applicable(t: int, reason: str) -> HallVerdict:
+def _not_applicable(reason: str) -> HallVerdict:
     return HallVerdict(
         applicable=False,
         reason=reason,
-        t=t,
         pm_count_is_lower_bound=False,
         unique=None,
         per_matching=(),
@@ -376,12 +375,12 @@ def prefix_hall_verdict(h: KPartiteHypergraph, *, limit: int = 2) -> HallVerdict
     prefix_sizes = set(len(p) for p in h.parts[:-1])
     if prefix_sizes != {t}:
         return _not_applicable(
-            t, f"prefix part sizes {sorted(prefix_sizes)} are not all {t}"
+            f"prefix part sizes {sorted(prefix_sizes)} are not all {t}"
         )
 
     matchings = enumerate_perfect_matchings(h, limit=limit)
     if not matchings:
-        return _not_applicable(t, "prefix subhypergraph has no perfect matching")
+        return _not_applicable("prefix subhypergraph has no perfect matching")
 
     # Uniqueness is only known when enumeration exhausted the search; with
     # limit 1 a single hit leaves it undetermined (None).
@@ -426,7 +425,6 @@ def prefix_hall_verdict(h: KPartiteHypergraph, *, limit: int = 2) -> HallVerdict
     return HallVerdict(
         applicable=True,
         reason=None,
-        t=t,
         pm_count_is_lower_bound=len(matchings) == limit,
         unique=unique,
         per_matching=tuple(analyses),

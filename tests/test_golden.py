@@ -18,12 +18,15 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
+import kphall
 from kphall.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -94,6 +97,60 @@ def test_golden_output(name):
     code, out = _run(CASES[name])
     assert code == json.loads(EXIT_CODES.read_text("utf-8"))[name]
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+# Cases run back to back in one interpreter: every analysis command before
+# the first draw, and a case with a non-default flag before the same case
+# without it, so a value left over from an earlier call would show.
+ONE_PROCESS = [
+    "nonunique_prefix-analyze-limit3",
+    "nonunique_prefix-analyze-json",
+    "duality_gap-analyze-rotate1",
+    "duality_gap-analyze-json",
+    "k2_hall_fail-extend-text",
+    "gen-random-333-s5-extend-json",
+    "gen-planted-k3-t3-s7",
+    "gen-planted-k3-t3-s7-analyze-json",
+]
+
+_ONE_PROCESS_SCRIPT = """\
+import contextlib, io, json, sys
+from kphall.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    results.append([code, out.getvalue(), "_hashlib" in sys.modules])
+print(json.dumps(results))
+"""
+
+
+def test_one_process_reuses_parser_and_loads_openssl_only_to_draw():
+    # A fresh interpreter, so that no earlier test has imported hashlib.
+    validate = ["validate", _fixture_path("duality_gap")]
+    argvs = [validate] + [CASES[name] for name in ONE_PROCESS]
+    env = dict(os.environ, PYTHONPATH=str(Path(kphall.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _ONE_PROCESS_SCRIPT],
+        input=json.dumps(argvs),
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    validated, *results = json.loads(proc.stdout)
+    assert validated[0] == 0
+    codes = json.loads(EXIT_CODES.read_text("utf-8"))
+    for name, (code, out, _) in zip(ONE_PROCESS, results):
+        assert code == codes[name], name
+        assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes(), name
+    # OpenSSL is loaded by the first generate call, and not before
+    first_draw = 1 + ONE_PROCESS.index("gen-planted-k3-t3-s7")
+    loaded = [validated[2]] + [r[2] for r in results]
+    assert loaded == [i >= first_draw for i in range(len(argvs))]
 
 
 def _write_goldens() -> None:

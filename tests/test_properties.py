@@ -163,9 +163,9 @@ def test_verdict_claims_match_exact_solver(h):
     if not v.applicable:
         return
     if v.conclusion == MATCHING_EXISTS:
-        assert a == v.t
+        assert a == h.t
     elif v.conclusion == NO_MATCHING:
-        assert a < v.t
+        assert a < h.t
 
 
 # --- duality ---------------------------------------------------------------
