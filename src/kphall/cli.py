@@ -3,9 +3,10 @@
 Subcommands: validate, analyze, extend, generate, verify.  Human-readable
 text by default; ``--json`` switches to a stable machine-readable schema.
 
-Exit codes: 0 success, 2 input or configuration error, 3 criterion not
-applicable (extend without a prefix perfect matching), 4 write failure,
-including a stdout whose reader has gone.
+Exit codes: 0 success, 1 a property failed (``verify`` only), 2 input or
+configuration error, 3 criterion not applicable (extend without a prefix
+perfect matching), 4 write failure, including a stdout whose reader has
+gone.
 
 ``main`` may be called any number of times in one process.  The argument
 parser is built on the first call and reused, since parsing never changes

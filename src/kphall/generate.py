@@ -4,11 +4,20 @@ All randomness comes from a counter-based stream: every decision hashes the
 64-bit seed together with a fixed path of counters, so values never depend
 on evaluation order and equal (params, seed) always produce byte-identical
 instances.  Value i of the stream at (seed, path) is the first 8 bytes of
-SHA-256 over the encoded (seed, *path, i), scaled to [0, 1); `_stream`
-yields values 0..n-1 of one path, hashing the path's prefix once and
-copying that state per value.  ``hashlib`` (and with it OpenSSL) is
+SHA-256 over the encoded (seed, *path, i), scaled to [0, 1).  `_path_bytes`
+is the one encoder: a scalar draw hashes its bytes in one call, and
+`_stream` yields values 0..n-1 of one path, hashing the path's bytes once
+and copying that state per value.  ``hashlib`` (and with it OpenSSL) is
 imported by the first draw, not by importing this module, so a process
 that never draws an instance never loads it.
+
+Generation works in vertex ids, not labels.  A shape's layout (the part
+ranges and the label table, numbered as `build_hypergraph` numbers them,
+plus the staircase candidates and the diagonal for planted mode) is a pure
+function of the part sizes and is cached.  Both generators emit their
+edges as id tuples already in canonical order, and hand them to the
+construction tail that `build_hypergraph` ends with, so no edge is ever
+spelled in labels, resolved or re-sorted.
 
 Two modes:
 
@@ -25,13 +34,14 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from math import prod
 from string import ascii_lowercase
 from typing import Iterator
 
 from .errors import RetryExhaustedError
-from .hypergraph import KPartiteHypergraph, build_hypergraph
+from .hypergraph import KPartiteHypergraph, _from_canonical
 from .matching import enumerate_perfect_matchings
 
 __all__ = [
@@ -46,29 +56,38 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 _TWO64 = float(1 << 64)
 _PLANTED_RETRIES = 100
+# shapes whose layouts are kept; a layout is rebuilt cheaply after eviction
+_LAYOUTS = 256
 # an integer path item: b"i" then the signed 64-bit big-endian value
 _COUNTER = struct.Struct(">cq")
-# a value's head: the first 8 digest bytes as an unsigned big-endian int
-_HEAD = struct.Struct(">Q")
+# a string path item's head: b"s" then its UTF-8 byte length; the bytes follow
+_TEXT = struct.Struct(">cI")
+# an unsigned 64-bit big-endian int: the seed, first on every path, and a
+# value's head, the first 8 digest bytes
+_U64 = struct.Struct(">Q")
 # hashlib.sha256, bound by the first draw: importing hashlib loads OpenSSL
 _sha256 = None
 
 
-def _hasher(seed: int, *path: int | str):
-    global _sha256
-    if _sha256 is None:
-        from hashlib import sha256 as _sha256
-    hasher = _sha256()
-    hasher.update(struct.pack(">Q", seed & _MASK64))
+def _path_bytes(seed: int, *path: int | str) -> bytes:
+    """The encoded (seed, *path) that every draw at that path hashes."""
+    chunks = [_U64.pack(seed & _MASK64)]
     for item in path:
         if isinstance(item, str):
             data = item.encode("utf-8")
-            hasher.update(b"s")
-            hasher.update(struct.pack(">I", len(data)))
-            hasher.update(data)
+            chunks.append(_TEXT.pack(b"s", len(data)))
+            chunks.append(data)
         else:
-            hasher.update(_COUNTER.pack(b"i", item))
-    return hasher
+            chunks.append(_COUNTER.pack(b"i", item))
+    return b"".join(chunks)
+
+
+def _hasher(seed: int, *path: int | str):
+    """A SHA-256 state over ``_path_bytes(seed, *path)``, to copy or finish."""
+    global _sha256
+    if _sha256 is None:
+        from hashlib import sha256 as _sha256
+    return _sha256(_path_bytes(seed, *path))
 
 
 def _digest(seed: int, *path: int | str) -> bytes:
@@ -79,11 +98,11 @@ def _stream(prefix, n: int) -> Iterator[float]:
     """The values ``unit_float(seed, *path, i)`` for i = 0..n-1, in order.
 
     ``prefix`` is ``_hasher(seed, *path)``; it is hashed once and copied per
-    value, and ``_COUNTER`` encodes ``i`` exactly as ``_hasher`` does.
+    value, and ``_COUNTER`` encodes ``i`` exactly as `_path_bytes` does.
     """
     copy = prefix.copy
     pack = _COUNTER.pack
-    head = _HEAD.unpack_from
+    head = _U64.unpack_from
     for i in range(n):
         hasher = copy()
         hasher.update(pack(b"i", i))
@@ -92,8 +111,7 @@ def _stream(prefix, n: int) -> Iterator[float]:
 
 def unit_float(seed: int, *path: int | str) -> float:
     """Deterministic value in [0, 1) keyed by (seed, path)."""
-    value = int.from_bytes(_digest(seed, *path)[:8], "big")
-    return value / float(1 << 64)
+    return _U64.unpack_from(_digest(seed, *path))[0] / _TWO64
 
 
 def randbelow(seed: int, n: int, *path: int | str) -> int:
@@ -105,7 +123,7 @@ def randbelow(seed: int, n: int, *path: int | str) -> int:
 
 def derive_seed(seed: int, *path: int | str) -> int:
     """Derive an independent 64-bit sub-seed."""
-    return int.from_bytes(_digest(seed, "derive", *path)[:8], "big")
+    return _U64.unpack_from(_digest(seed, "derive", *path))[0]
 
 
 @dataclass(frozen=True)
@@ -132,13 +150,23 @@ class GeneratorParams:
             raise ValueError("part sizes must be positive")
 
 
-def _part_labels(k: int, sizes: tuple[int, ...]) -> list[list[str]]:
-    labels = []
+@lru_cache(maxsize=_LAYOUTS)
+def _layout(sizes: tuple[int, ...]) -> tuple[tuple[range, ...], tuple[str, ...]]:
+    """The part ranges and the label table of a shape.
+
+    Part i's labels are its letter (or ``pNN_`` past 26 parts) and the
+    1-based index, zero-padded to one width, so they sort in index order
+    and `build_hypergraph` would number them exactly as here.
+    """
+    k = len(sizes)
+    ranges = []
+    labels: list[str] = []
     for i, size in enumerate(sizes):
         prefix = ascii_lowercase[i] if k <= len(ascii_lowercase) else f"p{i:02d}_"
         width = len(str(size))
-        labels.append([f"{prefix}{j + 1:0{width}d}" for j in range(size)])
-    return labels
+        ranges.append(range(len(labels), len(labels) + size))
+        labels.extend([f"{prefix}{j + 1:0{width}d}" for j in range(size)])
+    return tuple(ranges), tuple(labels)
 
 
 def gen_random(params: GeneratorParams, seed: int) -> KPartiteHypergraph:
@@ -153,12 +181,12 @@ def gen_random(params: GeneratorParams, seed: int) -> KPartiteHypergraph:
     if p is None or not 0.0 <= p <= 1.0:
         raise ValueError("edge_probability must be in [0, 1]")
 
-    labels = _part_labels(params.k, params.part_sizes)
-    edges = []
+    ranges, labels = _layout(tuple(params.part_sizes))
     values = _stream(_hasher(seed, "edge"), prod(params.part_sizes))
-    for combo, value in zip(product(*labels), values):
-        if value < p:
-            edges.append(list(combo))
+    # product over the ranges yields id tuples in canonical order
+    edges = tuple(
+        [edge for edge, value in zip(product(*ranges), values) if value < p]
+    )
     metadata = {
         "generator": {
             "mode": "random",
@@ -168,20 +196,27 @@ def gen_random(params: GeneratorParams, seed: int) -> KPartiteHypergraph:
             "edge_probability": p,
         }
     }
-    return build_hypergraph(labels, edges, strict=False, metadata=metadata)
+    return _from_canonical(ranges, labels, edges, strict=False, metadata=metadata)
 
 
-def _staircase_tuples(t: int, coords: int) -> list[tuple[int, ...]]:
-    """The tuples in range(t)^coords whose first coordinate is minimal.
+@lru_cache(maxsize=_LAYOUTS)
+def _planted_layout(sizes: tuple[int, ...]) -> tuple:
+    """`_layout` plus the staircase candidates and the diagonal, as id tuples.
 
-    In lexicographic order: for each first coordinate c, the other
-    coordinates run over range(c, t) in lexicographic order.
+    The candidates are the prefix traces whose first local index is
+    minimal, in lexicographic order: for first index c, the other parts'
+    ids run over their ranges from local index c on.
     """
-    return [
-        (c,) + rest
-        for c in range(t)
-        for rest in product(range(c, t), repeat=coords - 1)
-    ]
+    ranges, labels = _layout(sizes)
+    prefix_parts = ranges[:-1]
+    candidates = tuple(
+        [
+            (first,) + rest
+            for c, first in enumerate(prefix_parts[0])
+            for rest in product(*[part[c:] for part in prefix_parts[1:]])
+        ]
+    )
+    return ranges, labels, candidates, frozenset(zip(*prefix_parts))
 
 
 def gen_planted_unique(params: GeneratorParams, seed: int) -> KPartiteHypergraph:
@@ -206,14 +241,10 @@ def gen_planted_unique(params: GeneratorParams, seed: int) -> KPartiteHypergraph
         raise ValueError(
             f"prefix part sizes must all be equal, got {params.part_sizes[:-1]}"
         )
-    t = params.part_sizes[0]
-    last_size = params.part_sizes[-1]
-    coords = params.k - 1
-    labels = _part_labels(params.k, params.part_sizes)
-    candidates = _staircase_tuples(t, coords)
-    diagonal = {(c,) * coords for c in range(t)}
+    ranges, labels, candidates, diagonal = _planted_layout(tuple(params.part_sizes))
+    last = ranges[-1]
+    last_size = len(last)
     max_attach = min(attachments, last_size)
-    last_labels = labels[-1]
 
     for attempt in range(_PLANTED_RETRIES):
         # value i belongs to candidate i; the diagonal is kept whatever its value
@@ -233,10 +264,11 @@ def gen_planted_unique(params: GeneratorParams, seed: int) -> KPartiteHypergraph
             # is hashed once per attempt
             prefix = attach.copy()
             prefix.update(_COUNTER.pack(b"i", rank))
-            scored = sorted(zip(_stream(prefix, last_size), range(last_size)))
-            trace_labels = [labels[i][c] for i, c in enumerate(tup)]
-            for _, j in scored[:count]:
-                edges.append(trace_labels + [last_labels[j]])
+            scored = sorted(zip(_stream(prefix, last_size), last))
+            # traces come in canonical order, so sorting each trace's chosen
+            # last-part vertices leaves the whole edge list canonical
+            chosen = sorted([v for _, v in scored[:count]])
+            edges.extend([tup + (v,) for v in chosen])
 
         metadata = {
             "generator": {
@@ -249,7 +281,9 @@ def gen_planted_unique(params: GeneratorParams, seed: int) -> KPartiteHypergraph
                 "attempt": attempt,
             }
         }
-        h = build_hypergraph(labels, edges, strict=False, metadata=metadata)
+        h = _from_canonical(
+            ranges, labels, tuple(edges), strict=False, metadata=metadata
+        )
         found = enumerate_perfect_matchings(h, limit=2)
         if len(found) == 1:
             return h

@@ -15,7 +15,11 @@ produce identical outputs.  The build makes one pass over the edges: it
 resolves and sorts each edge's ids and keys the edge by its local indices
 read as one mixed-radix integer, which dedupes and orders the edge list.
 Only an edge that is not one vertex per part takes a slower path, which
-names the fault.
+names the fault.  What follows canonicalization (coverage, the isolated
+vertex warnings or error, the degenerate warning and the instance itself)
+is one private tail, `_from_canonical`.  The seeded generators call it
+directly: they number their vertices the same way and emit canonical id
+edges, so a generated instance is never resolved or re-sorted.
 
 The analysis needs one subhypergraph, the one generated on the first k-1
 parts.  Its edges, the prefix traces, are the edges with their last-part
@@ -158,8 +162,10 @@ def build_hypergraph(
     deduplicated and sorted.  An edge is valid when its ids, sorted, lie in
     parts 0..k-1 in turn.  Its key reads its local indices as the digits of
     one mixed-radix integer, the last part's index lowest, so sorting keys
-    sorts edges lexicographically by ids.  Strict mode rejects isolated
-    vertices; lenient mode records a warning per isolated vertex instead.
+    sorts edges lexicographically by ids.  The canonical edges then go
+    through the construction tail the generators share: strict mode
+    rejects isolated vertices; lenient mode records a warning per isolated
+    vertex instead.
 
     Raises NotUniformError, NotPartiteError, DuplicateLabelError or
     IsolatedVertexError on invalid input.
@@ -205,8 +211,28 @@ def build_hypergraph(
         canonical[sum([digit[v] for v in ids])] = ids
 
     edge_list = tuple([tuple(canonical[key]) for key in sorted(canonical)])
+    return _from_canonical(
+        tuple(ranges), tuple(labels), edge_list, strict=strict, metadata=metadata
+    )
 
-    covered = set(chain.from_iterable(edge_list))
+
+def _from_canonical(
+    ranges: tuple[range, ...],
+    labels: tuple[str, ...],
+    edges: tuple[Edge, ...],
+    *,
+    strict: bool,
+    metadata: Mapping | None,
+) -> KPartiteHypergraph:
+    """The instance on already canonical parts, labels and edges.
+
+    The shared tail of every construction: ``edges`` must be distinct id
+    tuples, one vertex per part, in lexicographic order, as
+    `build_hypergraph` leaves them and the generators emit them.  Checks
+    coverage: strict mode raises IsolatedVertexError for an isolated
+    vertex, lenient mode records a warning per isolated vertex instead.
+    """
+    covered = set(chain.from_iterable(edges))
     warnings = []
     for v, lab in enumerate(labels):
         if v not in covered:
@@ -215,14 +241,14 @@ def build_hypergraph(
                     f"vertex {lab!r} lies in no edge (strict mode)"
                 )
             warnings.append(f"isolated vertex: {lab}")
-    if not edge_list:
+    if not edges:
         warnings.append("degenerate: instance has no edges")
 
     return KPartiteHypergraph(
-        k=k,
-        parts=tuple(ranges),
-        labels=tuple(labels),
-        edges=edge_list,
+        k=len(ranges),
+        parts=ranges,
+        labels=labels,
+        edges=edges,
         warnings=tuple(warnings),
         metadata=metadata,
     )

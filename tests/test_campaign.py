@@ -1,11 +1,19 @@
 """Campaign runner: configuration, determinism, report shape, checks."""
 
 import dataclasses
+import hashlib
 
 import pytest
 
-from kphall import CampaignConfig, build_hypergraph, parse_instance, run_campaign
-from kphall.campaign import MODES, PROPERTY_NAMES, campaign_jsonable
+from kphall import (
+    CampaignConfig,
+    build_hypergraph,
+    parse_instance,
+    run_campaign,
+    serialize_instance,
+)
+from kphall.campaign import MODES, PROPERTY_NAMES, _trial_instance, campaign_jsonable
+from kphall.generate import derive_seed, randbelow, unit_float
 from kphall.matching import MATCHING_EXISTS, NO_MATCHING
 
 
@@ -114,3 +122,37 @@ def test_property_and_mode_names_are_stable():
         "konig",
         "k2-reduction",
     }
+
+
+# The instances the campaign tests, not just its pass counts: every trial of
+# every property for three seeds, serialized and hashed in order.
+_TRIAL_DIGEST = "4b6e3ed770f761241c3f1696dcd43df22571cf1edbfb3df659014698feadadec"
+
+
+def test_trial_instances_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for seed in (0, 42, 2**63 + 5):
+        cfg = CampaignConfig(seed=seed)
+        for prop in PROPERTY_NAMES:
+            for index in range(20):
+                text = serialize_instance(_trial_instance(cfg, prop, index))
+                digest.update(text.encode("utf-8"))
+                count += 1
+    assert count == 300
+    assert digest.hexdigest() == _TRIAL_DIGEST
+
+
+def test_scalar_draws_are_pinned():
+    assert derive_seed(0) == 1224064390532347950
+    assert derive_seed(0, "unique-hall", 0) == 2680696595848977292
+    assert derive_seed(42, "konig", 19) == 12706024746775545335
+    assert derive_seed(2**64 + 7, "derive", -3) == 17472230899755928792
+    assert unit_float(0, "density") == 0.4862295099423558
+    assert unit_float(123, "x", 5) == 0.15059789875621224
+    assert unit_float(2**64 + 9, "attach", 0, 17) == 0.871482461802671
+    assert unit_float(1, "\u00fc", -1, "") == 0.5287112734332672
+    assert randbelow(5, 3, "k") == 0
+    assert randbelow(99, 1000, "size", 2) == 757
+    assert randbelow(7, 48, "t") == 45
+    assert randbelow(2**70, 10**9, "size", -(2**63)) == 499384588

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kphall import (
     GeneratorParams,
@@ -16,7 +17,7 @@ from kphall import (
 )
 from kphall.generate import (
     _hasher,
-    _staircase_tuples,
+    _planted_layout,
     _stream,
     derive_seed,
     randbelow,
@@ -223,4 +224,79 @@ def test_staircase_matches_filtered_reference(coords):
             for tup in itertools.product(range(t), repeat=coords)
             if all(tup[0] <= c for c in tup[1:])
         ]
-        assert _staircase_tuples(t, coords) == reference
+        parts, _, candidates, diagonal = _planted_layout((t,) * coords + (2,))
+        local = [
+            tuple([v - part.start for v, part in zip(tup, parts)])
+            for tup in candidates
+        ]
+        assert local == reference
+        assert diagonal == {tuple([part[c] for part in parts[:-1]]) for c in range(t)}
+
+
+def _label_route(h):
+    """``h`` rebuilt from its labels by `build_hypergraph`, leniently."""
+    parts = [[h.labels[v] for v in part] for part in h.parts]
+    edges = [[h.labels[v] for v in e] for e in h.edges]
+    return build_hypergraph(parts, edges, strict=False)
+
+
+def _assert_label_route_agrees(h, generator):
+    rebuilt = _label_route(h)
+    assert h == rebuilt
+    # warnings and metadata are left out of equality
+    assert h.warnings == rebuilt.warnings
+    assert h.metadata == {"generator": generator}
+
+
+@st.composite
+def _planted_shapes(draw):
+    """k in 2..5 and a last part of size 1, below t or above t."""
+    k = draw(st.integers(2, 5))
+    t = draw(st.integers(1, 4 if k < 5 else 3))
+    last = draw(st.sampled_from(sorted({1, max(1, t - 1), t + 1})))
+    return k, t, last
+
+
+_unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+_seeds = st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=2, max_size=5), _unit, _seeds)
+def test_random_instance_matches_label_route(sizes, p, seed):
+    k = len(sizes)
+    params = GeneratorParams(k=k, part_sizes=tuple(sizes), edge_probability=p)
+    h = gen_random(params, seed)
+    _assert_label_route_agrees(
+        h,
+        {
+            "mode": "random",
+            "seed": seed,
+            "k": k,
+            "part_sizes": sizes,
+            "edge_probability": p,
+        },
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_planted_shapes(), _unit, st.integers(1, 3), _seeds)
+def test_planted_instance_matches_label_route(shape, density, attach, seed):
+    k, t, last = shape
+    sizes = (t,) * (k - 1) + (last,)
+    params = GeneratorParams(
+        k=k, part_sizes=sizes, trace_density=density, attachments_per_trace=attach
+    )
+    h = gen_planted_unique(params, seed)
+    _assert_label_route_agrees(
+        h,
+        {
+            "mode": "planted",
+            "seed": seed,
+            "k": k,
+            "part_sizes": list(sizes),
+            "trace_density": density,
+            "attachments_per_trace": attach,
+            "attempt": 0,
+        },
+    )
