@@ -51,11 +51,12 @@ def analyze_instance(
 
 def edge_labels(h: KPartiteHypergraph, edge: Iterable[int]) -> list[str]:
     """The labels of the vertex ids in ``edge``, in order."""
-    return [h.labels[v] for v in edge]
+    return list(map(h.labels.__getitem__, edge))
 
 
 def matching_labels(h: KPartiteHypergraph, m: Matching) -> list[list[str]]:
-    return [edge_labels(h, e) for e in m]
+    label = h.labels.__getitem__
+    return [list(map(label, e)) for e in m]
 
 
 def _hall_jsonable(h: KPartiteHypergraph, a: MatchingAnalysis) -> dict[str, Any]:

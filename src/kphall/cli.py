@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Subcommands: validate, analyze, extend, generate, verify.  Human-readable
-text by default; ``--json`` switches to a stable machine-readable schema.
+text by default; ``--json`` switches to a stable machine-readable schema,
+written by the same writer as instance documents, byte for byte as
+``json.dumps(payload, indent=2)`` writes it.
 
 Exit codes: 0 success, 1 a property failed (``verify`` only), 2 input or
 configuration error, 3 criterion not applicable (extend without a prefix
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from pathlib import Path
@@ -41,7 +42,7 @@ from .errors import KphallError, TooLargeError
 from .exact import DualityReport
 from .generate import GeneratorParams, gen_planted_unique, gen_random
 from .hypergraph import Edge, KPartiteHypergraph, Matching, rotate_parts
-from .instance_io import parse_instance, serialize_instance
+from .instance_io import _json_text, parse_instance, serialize_instance
 from .matching import HallVerdict, prefix_hall_verdict
 
 EXIT_OK = 0
@@ -182,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    print(_json_text(payload))
 
 
 def _edge_text(h: KPartiteHypergraph, edge: Edge) -> str:

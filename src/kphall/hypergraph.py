@@ -198,17 +198,26 @@ def build_hypergraph(
             digit[v] = (v - part.start) * radix
         radix *= len(part)
 
+    id_of, part_at, digit_at = (
+        by_label.__getitem__, part_of.__getitem__, digit.__getitem__
+    )
     part_ids = list(range(k))
     canonical: dict[int, list[int]] = {}
     for raw_edge in edges:
-        edge_labels = [str(x) for x in raw_edge]
+        if type(raw_edge) is not list and type(raw_edge) is not tuple:
+            raw_edge = list(raw_edge)  # read a one-shot iterable once
         try:
-            ids = sorted([by_label[lab] for lab in edge_labels])
-        except KeyError:
-            _reject_edge(edge_labels, by_label, part_of, k)
-        if [part_of[v] for v in ids] != part_ids:
-            _reject_edge(edge_labels, by_label, part_of, k)
-        canonical[sum([digit[v] for v in ids])] = ids
+            ids = sorted(map(id_of, raw_edge))
+        except (KeyError, TypeError):
+            # a label that is not a declared str: resolve its str() form
+            edge_labels = [str(x) for x in raw_edge]
+            try:
+                ids = sorted(map(id_of, edge_labels))
+            except KeyError:
+                _reject_edge(edge_labels, by_label, part_of, k)
+        if list(map(part_at, ids)) != part_ids:
+            _reject_edge([str(x) for x in raw_edge], by_label, part_of, k)
+        canonical[sum(map(digit_at, ids))] = ids
 
     edge_list = tuple([tuple(canonical[key]) for key in sorted(canonical)])
     return _from_canonical(

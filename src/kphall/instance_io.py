@@ -12,13 +12,18 @@ An instance document is a UTF-8 JSON object:
 
 Unknown top-level fields are rejected.  Serialization is canonical and
 byte-stable: keys in the order above, labels sorted within each part, each
-edge ordered by part, the edge list sorted, metadata keys sorted.
+edge ordered by part, the edge list sorted, metadata keys sorted.  One
+writer renders both documents and the CLI's ``--json`` reports, byte for
+byte as ``json.dumps(obj, indent=2)`` does, without the standard library's
+pure-Python indenting encoder.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .errors import ParseError, SchemaError, UnknownFixtureError
@@ -77,12 +82,13 @@ def parse_instance(text: str, *, strict: bool = True) -> KPartiteHypergraph:
     for i, part in enumerate(parts):
         if not isinstance(part, list) or not part:
             raise SchemaError(f"part {i} must be a nonempty array")
-        if not all(isinstance(x, str) for x in part):
-            raise SchemaError(f"part {i} labels must be strings")
-        # JSON escapes can spell lone surrogates, which no report can print;
-        # edge labels must be declared, so checking the parts covers them
+        # join refuses a non-string label; JSON escapes can spell lone
+        # surrogates, which no report can print, and encoding refuses them.
+        # Edge labels must be declared, so checking the parts covers them.
         try:
             "".join(part).encode("utf-8")
+        except TypeError:
+            raise SchemaError(f"part {i} labels must be strings") from None
         except UnicodeEncodeError:
             raise SchemaError(f"part {i} labels must be encodable as UTF-8") from None
     declared = {x for part in parts for x in part}
@@ -92,6 +98,13 @@ def parse_instance(text: str, *, strict: bool = True) -> KPartiteHypergraph:
     for i, edge in enumerate(edges):
         if not isinstance(edge, list) or len(edge) != k:
             raise SchemaError(f"edge {i} must be an array of {k} labels")
+        # one C-level pass; only an edge that fails it is walked to name the
+        # fault (an unhashable label makes issuperset raise TypeError)
+        try:
+            if declared.issuperset(edge):
+                continue
+        except TypeError:
+            pass
         for x in edge:
             if not isinstance(x, str):
                 raise SchemaError(f"edge {i} labels must be strings")
@@ -110,15 +123,74 @@ def serialize_instance(h: KPartiteHypergraph) -> str:
     through `json` sorts the keys of every metadata object; metadata inside
     itself raises ValueError.
     """
+    label = h.labels.__getitem__
     doc: dict[str, Any] = {
         "format_version": FORMAT_VERSION,
         "k": h.k,
-        "parts": [[h.labels[v] for v in part] for part in h.parts],
-        "edges": [[h.labels[v] for v in e] for e in h.edges],
+        "parts": [list(map(label, part)) for part in h.parts],
+        "edges": [list(map(label, e)) for e in h.edges],
     }
     if h.metadata is not None:
         doc["metadata"] = json.loads(json.dumps(dict(h.metadata), sort_keys=True))
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_text(doc) + "\n"
+
+
+def _json_text(obj: Any, newline: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for a value placed after
+    ``newline`` (a newline and the current indentation).
+
+    Lists of strings are quoted in one C-level pass; every other container
+    calls itself directly, one frame per level, so metadata nested nearly
+    to the recursion limit still renders.  Containers are not checked for
+    cycles: both callers pass freshly built trees.
+    """
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj == math.inf:
+            return "Infinity"
+        if obj == -math.inf:
+            return "-Infinity"
+        return float.__repr__(obj)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if type(obj[0]) is str:
+            try:
+                return f"[{inner}{(',' + inner).join(map(_quote, obj))}{newline}]"
+            except TypeError:
+                pass  # not all strings
+        items = []
+        for value in obj:
+            items.append(_json_text(value, inner))
+        return f"[{inner}{(',' + inner).join(items)}{newline}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                # a scalar key is written as its JSON text, then quoted
+                if key is not None and not isinstance(key, (int, float)):
+                    raise TypeError(
+                        "keys must be str, int, float, bool or None, "
+                        f"not {key.__class__.__name__}"
+                    )
+                key = _json_text(key)
+            items.append(f"{_quote(key)}: {_json_text(value, inner)}")
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
 
 
 def fixture(name: str) -> KPartiteHypergraph:

@@ -133,6 +133,52 @@ class TestBuildValidate:
             assert type(info.value) is error
             assert str(info.value) == "edge " + message
 
+    def test_non_string_labels_build_as_their_str_forms(self):
+        parts = [[1, 2], [30, 40], [5.5, True]]
+        edges = [[1, 30, 5.5], [2, 40, True], [True, 1, 40]]
+        h = build_hypergraph(parts, edges)
+        as_str = build_hypergraph(
+            [[str(x) for x in p] for p in parts], [[str(x) for x in e] for e in edges]
+        )
+        assert h == as_str
+        assert h.labels == ("1", "2", "30", "40", "5.5", "True")
+        # mixed: int edge labels against string parts, and the reverse
+        assert build_hypergraph([["1", "2"], [3, 4]], [[1, "3"], ["2", 4]]) == (
+            build_hypergraph([["1", "2"], ["3", "4"]], [["1", "3"], ["2", "4"]])
+        )
+
+    @pytest.mark.parametrize(
+        "label, message",
+        [
+            (["x1"], "edge references undeclared label \"['x1']\""),
+            ({"x1": 1}, "edge references undeclared label \"{'x1': 1}\""),
+            ({"x1"}, "edge references undeclared label \"{'x1'}\""),
+            (("x1",), "edge references undeclared label \"('x1',)\""),
+        ],
+    )
+    def test_unhashable_or_foreign_edge_label_error(self, label, message):
+        for position in (0, 2, len(EDGES_A)):
+            edges = EDGES_A[:position] + [[label, "y1", "z1"]] + EDGES_A[position:]
+            with pytest.raises(ValueError) as info:
+                build_hypergraph(PARTS_A, edges)
+            assert type(info.value) is ValueError
+            assert str(info.value) == message
+
+    def test_unhashable_labels_resolve_by_their_str_forms(self):
+        h = build_hypergraph([[["x"]], ["y"]], [[["x"], "y"]])
+        assert h.labels == ("['x']", "y")
+        assert h.edges == ((0, 1),)
+
+    def test_one_shot_edges(self):
+        h = build_hypergraph(PARTS_A, (iter(e) for e in EDGES_A))
+        assert h == build_hypergraph(PARTS_A, EDGES_A)
+        # the fault is named from the whole edge, not what is left of it
+        with pytest.raises(ValueError, match="undeclared label 'nope'"):
+            build_hypergraph(PARTS_A, [iter(["x1", "nope", "z1"])])
+        with pytest.raises(NotUniformError) as info:
+            build_hypergraph(PARTS_A, [iter(["x1", "y1", "z1", "z2"])])
+        assert str(info.value) == "edge ['x1', 'y1', 'z1', 'z2'] has 4 vertices, expected 3"
+
 
 def _reference_build(parts, edges):
     """Canonical labels, edges and warnings by the definition, for comparison.

@@ -1,10 +1,12 @@
 """File format: parsing, schema validation, canonical serialization, fixtures."""
 
 import json
+import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kphall import build_hypergraph, fixture, parse_instance, serialize_instance
 from kphall.errors import (
@@ -13,7 +15,7 @@ from kphall.errors import (
     SchemaError,
     UnknownFixtureError,
 )
-from kphall.instance_io import FIXTURE_NAMES
+from kphall.instance_io import FIXTURE_NAMES, _json_text
 
 GOOD = {
     "format_version": "1",
@@ -80,6 +82,26 @@ class TestParse:
     def test_duplicate_label_comes_from_validation(self):
         with pytest.raises(DuplicateLabelError):
             parse_instance(doc(parts=[["a", "b"], ["a", "d"]], edges=[["a", "d"]]))
+
+    @pytest.mark.parametrize(
+        "label, message",
+        [
+            (1, "labels must be strings"),
+            (None, "labels must be strings"),
+            (["a"], "labels must be strings"),
+            ({"a": 1}, "labels must be strings"),
+            ("z", "references undeclared label 'z'"),
+        ],
+    )
+    def test_malformed_edge_label_error(self, label, message):
+        # The first bad edge is named, wherever it stands in the list.
+        edges = [["a", "c"], ["b", "d"], ["a", "d"]]
+        for position in (0, 2, len(edges)):
+            bad = edges[:position] + [["a", label]] + edges[position:]
+            with pytest.raises(SchemaError) as info:
+                parse_instance(doc(edges=bad))
+            assert type(info.value) is SchemaError
+            assert str(info.value) == f"edge {position} {message}"
 
 
 class TestSerialize:
@@ -207,3 +229,61 @@ class TestInstanceDocument:
         h = parse_instance(doc(metadata={"note": "hi"}))
         assert h.k == 2
         assert h.metadata == {"note": "hi"}
+
+
+# JSON values as json.dumps accepts them, including the strings ensure_ascii
+# escapes (control and non-ASCII characters, lone surrogates) and the
+# floats it spells outside JSON (NaN, Infinity).
+_TEXT = st.text(
+    st.characters() | st.characters(categories=["Cs"]) | st.sampled_from('"\\'),
+    max_size=6,
+)
+_KEYS = _TEXT | st.integers() | st.floats() | st.booleans() | st.none()
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.floats()
+    | st.sampled_from([-0.0, math.nan, math.inf, -math.inf])
+    | _TEXT
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.lists(_TEXT, max_size=4)
+    | st.dictionaries(_KEYS, children, max_size=4),
+    max_leaves=25,
+)
+
+
+class TestJsonText:
+    @settings(max_examples=400, deadline=None)
+    @given(_JSON)
+    def test_matches_json_dumps_indent_2(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [],
+            {},
+            (),
+            [[], {}, ()],
+            ["a", 1],
+            ["a", ["b"]],
+            {"x": ["é", "\ud800", '"\\']},
+            {1: "a", 2.5: None, True: 0, None: -0.0, "k": [math.nan, -math.inf]},
+        ],
+    )
+    def test_matches_json_dumps_on_edge_cases(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [{1, 2}, [1, {2}], {"a": b"x"}, {(1,): 2}])
+    def test_non_json_value_is_a_type_error(self, value):
+        with pytest.raises(TypeError) as expected:
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError) as info:
+            _json_text(value)
+        assert str(info.value) == str(expected.value)
