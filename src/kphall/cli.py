@@ -1,9 +1,11 @@
 """Command-line interface.
 
-Subcommands: validate, analyze, extend, generate, verify.  Human-readable
-text by default; ``--json`` switches to a stable machine-readable schema,
-written by the same writer as instance documents, byte for byte as
-``json.dumps(payload, indent=2)`` writes it.
+Subcommands: validate, analyze, extend, generate, verify.  Each report
+command builds one payload: ``--json`` writes it as a stable schema, byte
+for byte as ``json.dumps(payload, indent=2)`` writes it, and the default
+text formats it line by line, so the facts a report states and the labels
+it shows come from `analysis` and `campaign` alone.  ``verify``'s
+``elapsed:`` line is the one text field not in the payload.
 
 Exit codes: 0 success, 1 a property failed (``verify`` only), 2 input or
 configuration error, 3 criterion not applicable (extend without a prefix
@@ -23,12 +25,12 @@ import functools
 import os
 import sys
 from pathlib import Path
+from typing import Callable, Iterator
 
 from .analysis import (
     REPORT_VERSION,
     analysis_jsonable,
     analyze_instance,
-    edge_labels,
     matching_labels,
 )
 from .campaign import (
@@ -39,11 +41,10 @@ from .campaign import (
     run_campaign,
 )
 from .errors import KphallError, TooLargeError
-from .exact import DualityReport
 from .generate import GeneratorParams, gen_planted_unique, gen_random
-from .hypergraph import Edge, KPartiteHypergraph, Matching, rotate_parts
+from .hypergraph import KPartiteHypergraph, rotate_parts
 from .instance_io import _json_text, parse_instance, serialize_instance
-from .matching import HallVerdict, prefix_hall_verdict
+from .matching import prefix_hall_verdict
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -182,86 +183,110 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_json(payload: dict) -> None:
-    print(_json_text(payload))
+def _print_report(args: argparse.Namespace, payload: dict, text: Callable) -> None:
+    """Write ``payload`` under ``--json``, else the lines ``text`` formats from it."""
+    print(_json_text(payload) if args.json else "\n".join(text(payload)))
 
 
-def _edge_text(h: KPartiteHypergraph, edge: Edge) -> str:
-    return "{" + ",".join(edge_labels(h, edge)) + "}"
+def _edge_text(labels: list[str]) -> str:
+    return "{" + ",".join(labels) + "}"
 
 
-def _matching_text(h: KPartiteHypergraph, m: Matching) -> str:
-    return " | ".join([_edge_text(h, e) for e in m])
+def _matching_text(edges: list[list[str]]) -> str:
+    return " | ".join(map(_edge_text, edges))
 
 
-def _format_verdict(h: KPartiteHypergraph, verdict: HallVerdict) -> list[str]:
-    lines = []
-    if not verdict.applicable:
-        lines.append(f"prefix criterion: not applicable ({verdict.reason})")
-        return lines
-    count = f">={verdict.pm_count}" if verdict.pm_count_is_lower_bound else str(
-        verdict.pm_count
-    )
-    uniq = "unique" if verdict.unique else "not unique"
-    lines.append(f"prefix perfect matchings: {count} ({uniq}), t={h.t}")
-    for i, a in enumerate(verdict.per_matching, start=1):
-        d = a.hall.deficiency
-        line = f"  M{i} = {_matching_text(h, a.prefix_matching)}: deficiency {d}"
-        if a.hall.witness_violator is not None:
-            viol = ", ".join([_edge_text(h, s) for s in a.hall.witness_violator])
+# "unique" is null when the enumeration stopped at its cap
+_UNIQUENESS = {True: "unique", False: "not unique", None: "uniqueness undetermined"}
+
+
+def _format_verdict(verdict: dict) -> Iterator[str]:
+    if not verdict["applicable"]:
+        yield f"prefix criterion: not applicable ({verdict['reason']})"
+        return
+    count = verdict["pm_count"]
+    count = f">={count}" if verdict["pm_count_is_lower_bound"] else count
+    uniq = _UNIQUENESS[verdict["unique"]]
+    yield f"prefix perfect matchings: {count} ({uniq}), t={verdict['t']}"
+    for i, a in enumerate(verdict["matchings"], start=1):
+        hall = a["hall"]
+        line = f"  M{i} = {_matching_text(a['prefix_matching'])}: "
+        line += f"deficiency {hall['deficiency']}"
+        if hall["witness_violator"] is not None:
+            viol = ", ".join(map(_edge_text, hall["witness_violator"]))
             line += f" (violator: {viol})"
-        ext = _matching_text(h, a.extension)
-        line += f"; extension size {len(a.extension)}: {ext}"
-        lines.append(line)
-    lines.append(f"conclusion: {verdict.message}")
-    return lines
+        ext = _matching_text(a["extension"])
+        yield f"{line}; extension size {a['extension_size']}: {ext}"
+    yield f"conclusion: {verdict['message']}"
 
 
-def _format_duality(h: KPartiteHypergraph, report: DualityReport) -> list[str]:
-    witness = _matching_text(h, report.max_matching_witness)
+def _format_duality(d: dict) -> list[str]:
+    witness = _matching_text(d["max_matching_witness"])
     return [
-        f"alpha' = {report.alpha_prime} (witness: {witness})",
-        "beta = {} (cover: {})".format(
-            report.beta, ", ".join(edge_labels(h, report.min_cover_witness))
-        ),
-        f"t = {report.t}; matching of size t: {'yes' if report.has_t_matching else 'no'}; "
-        f"alpha' = beta = t: {'yes' if report.konig_equality else 'no'}",
+        f"alpha' = {d['alpha_prime']} (witness: {witness})",
+        f"beta = {d['beta']} (cover: {', '.join(d['min_cover_witness'])})",
+        f"t = {d['t']}; matching of size t: {'yes' if d['has_t_matching'] else 'no'}; "
+        f"alpha' = beta = t: {'yes' if d['konig_equality'] else 'no'}",
     ]
+
+
+def _format_validation(p: dict) -> Iterator[str]:
+    yield f"valid: k={p['k']}, parts {p['part_sizes']}, {p['edge_count']} edges"
+    yield from [f"warning: {w}" for w in p["warnings"]]
+
+
+def _format_analysis(payload: dict) -> Iterator[str]:
+    inst = payload["instance"]
+    sizes, edges = inst["part_sizes"], len(inst["edges"])
+    yield f"instance: k={inst['k']}, parts {sizes}, {edges} edges"
+    yield from [f"warning: {w}" for w in inst["warnings"]]
+    yield from _format_verdict(payload["prefix_criterion"])
+    yield from _format_duality(payload["duality"])
+
+
+def _format_extension(p: dict) -> Iterator[str]:
+    prefix = _matching_text(p["prefix_matching"])
+    yield f"prefix matching {prefix} (deficiency {p['deficiency']})"
+    yield f"extends to {p['size']} edges: {_matching_text(p['edges'])}"
+
+
+def _format_campaign(payload: dict, elapsed: float) -> Iterator[str]:
+    cfg = payload["config"]
+    yield (
+        f"campaign: {cfg['trials']} trials per property, seed {cfg['seed']}, "
+        f"k in {cfg['k_values']}, t in {cfg['t_values']}"
+    )
+    for o in payload["properties"]:
+        if o["skipped"]:
+            yield f"  {o['name']}: skipped (mode {o['mode']} not selected)"
+            continue
+        yield f"  {o['name']}: {o['passed']}/{o['trials']} passed, {o['failed']} failed"
+        failure = o["first_failure"]
+        if failure is not None:
+            yield f"    first failure (trial {failure['trial']}): {failure['message']}"
+            yield "    replay instance:"
+            yield from [f"      {line}" for line in failure["instance"].splitlines()]
+    yield f"elapsed: {elapsed:.2f}s"
+    yield "result: " + ("all properties hold" if payload["ok"] else "FAILURES")
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     h = _load(args)
-    if args.json:
-        _print_json(
-            {
-                "report_version": REPORT_VERSION,
-                "valid": True,
-                "k": h.k,
-                "part_sizes": list(h.part_sizes),
-                "edge_count": len(h.edges),
-                "warnings": list(h.warnings),
-            }
-        )
-    else:
-        print(f"valid: k={h.k}, parts {list(h.part_sizes)}, {len(h.edges)} edges")
-        for w in h.warnings:
-            print(f"warning: {w}")
+    payload = {
+        "report_version": REPORT_VERSION,
+        "valid": True,
+        "k": h.k,
+        "part_sizes": list(h.part_sizes),
+        "edge_count": len(h.edges),
+        "warnings": list(h.warnings),
+    }
+    _print_report(args, payload, _format_validation)
     return EXIT_OK
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    h = _load(args)
-    report = analyze_instance(h, force=args.force, limit=args.limit)
-    if args.json:
-        _print_json(analysis_jsonable(report))
-        return EXIT_OK
-    print(f"instance: k={h.k}, parts {list(h.part_sizes)}, {len(h.edges)} edges")
-    for w in h.warnings:
-        print(f"warning: {w}")
-    for line in _format_verdict(h, report.verdict):
-        print(line)
-    for line in _format_duality(h, report.duality):
-        print(line)
+    report = analyze_instance(_load(args), force=args.force, limit=args.limit)
+    _print_report(args, analysis_jsonable(report), _format_analysis)
     return EXIT_OK
 
 
@@ -272,23 +297,14 @@ def _cmd_extend(args: argparse.Namespace) -> int:
         print(f"not applicable: {verdict.reason}", file=sys.stderr)
         return EXIT_NOT_APPLICABLE
     chosen = verdict.chosen
-    extension = chosen.extension
-    if args.json:
-        _print_json(
-            {
-                "report_version": REPORT_VERSION,
-                "prefix_matching": matching_labels(h, chosen.prefix_matching),
-                "deficiency": chosen.hall.deficiency,
-                "size": len(extension),
-                "edges": matching_labels(h, extension),
-            }
-        )
-    else:
-        print(
-            f"prefix matching {_matching_text(h, chosen.prefix_matching)} "
-            f"(deficiency {chosen.hall.deficiency})"
-        )
-        print(f"extends to {len(extension)} edges: {_matching_text(h, extension)}")
+    payload = {
+        "report_version": REPORT_VERSION,
+        "prefix_matching": matching_labels(h, chosen.prefix_matching),
+        "deficiency": chosen.hall.deficiency,
+        "size": len(chosen.extension),
+        "edges": matching_labels(h, chosen.extension),
+    }
+    _print_report(args, payload, _format_extension)
     return EXIT_OK
 
 
@@ -340,26 +356,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ),
     )
     report = run_campaign(config)
-    if args.json:
-        _print_json(campaign_jsonable(report))
-    else:
-        print(
-            f"campaign: {config.trials} trials per property, seed {config.seed}, "
-            f"k in {list(config.k_values)}, t in {list(config.t_values)}"
-        )
-        for o in report.outcomes:
-            if o.skipped:
-                print(f"  {o.name}: skipped (mode {o.mode} not selected)")
-                continue
-            print(f"  {o.name}: {o.passed}/{o.trials} passed, {o.failed} failed")
-            if o.first_failure is not None:
-                print(f"    first failure (trial {o.first_failure['trial']}): "
-                      f"{o.first_failure['message']}")
-                print("    replay instance:")
-                for line in o.first_failure["instance"].splitlines():
-                    print(f"      {line}")
-        print(f"elapsed: {report.elapsed_seconds:.2f}s")
-        print("result: " + ("all properties hold" if report.ok else "FAILURES"))
+    text = functools.partial(_format_campaign, elapsed=report.elapsed_seconds)
+    _print_report(args, campaign_jsonable(report), text)
     return EXIT_OK if report.ok else 1
 
 

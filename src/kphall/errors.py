@@ -59,4 +59,4 @@ class UnknownFixtureError(KphallError, KeyError):
 
 
 class RetryExhaustedError(KphallError):
-    """Planted generator failed its own uniqueness check repeatedly (a bug)."""
+    """Planted generator failed its own uniqueness check (a bug)."""

@@ -27,7 +27,7 @@ Two modes:
   whose first coordinate is minimal ("staircase"), which forces the prefix
   perfect matching to be unique; each trace is then attached to the
   last-part vertices with the lowest draws.  The output is re-checked by
-  enumeration anyway.
+  enumeration anyway, and a failed check raises rather than drawing again.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 _TWO64 = float(1 << 64)
-_PLANTED_RETRIES = 100
 # shapes whose layouts are kept; a layout is rebuilt cheaply after eviction
 _LAYOUTS = 256
 # an integer path item: b"i" then the signed 64-bit big-endian value
@@ -225,8 +224,9 @@ def gen_planted_unique(params: GeneratorParams, seed: int) -> KPartiteHypergraph
     The prefix traces are the diagonal plus a density-controlled sample of
     staircase tuples (first coordinate minimal).  Uniqueness follows by
     induction on the largest unused index, but the construction is not
-    trusted: every candidate is verified with the enumerator and resampled
-    on failure.  Exhausting the retries indicates a bug, not bad luck.
+    trusted: the instance is checked with the enumerator, and a prefix
+    without exactly one perfect matching raises `RetryExhaustedError` (a
+    bug, not bad luck).
     """
     params._check_shape()
     density = params.trace_density
@@ -246,49 +246,46 @@ def gen_planted_unique(params: GeneratorParams, seed: int) -> KPartiteHypergraph
     last_size = len(last)
     max_attach = min(attachments, last_size)
 
-    for attempt in range(_PLANTED_RETRIES):
-        # value i belongs to candidate i; the diagonal is kept whatever its value
-        values = _stream(_hasher(seed, "trace", attempt), len(candidates))
-        traces = [
-            tup
-            for tup, value in zip(candidates, values)
-            if value < density or tup in diagonal
-        ]
+    # value i belongs to candidate i; the diagonal is kept whatever its value
+    values = _stream(_hasher(seed, "trace", 0), len(candidates))
+    traces = [
+        tup
+        for tup, value in zip(candidates, values)
+        if value < density or tup in diagonal
+    ]
 
-        edges = []
-        nattach = _stream(_hasher(seed, "nattach", attempt), len(traces))
-        attach = _hasher(seed, "attach", attempt)
-        for rank, (tup, value) in enumerate(zip(traces, nattach)):
-            count = 1 + int(value * max_attach)
-            # the stream at (seed, "attach", attempt, rank); its shared head
-            # is hashed once per attempt
-            prefix = attach.copy()
-            prefix.update(_COUNTER.pack(b"i", rank))
-            scored = sorted(zip(_stream(prefix, last_size), last))
-            # traces come in canonical order, so sorting each trace's chosen
-            # last-part vertices leaves the whole edge list canonical
-            chosen = sorted([v for _, v in scored[:count]])
-            edges.extend([tup + (v,) for v in chosen])
+    edges = []
+    nattach = _stream(_hasher(seed, "nattach", 0), len(traces))
+    attach = _hasher(seed, "attach", 0)
+    for rank, (tup, value) in enumerate(zip(traces, nattach)):
+        count = 1 + int(value * max_attach)
+        # the stream at (seed, "attach", 0, rank); its shared head is hashed
+        # once per instance
+        prefix = attach.copy()
+        prefix.update(_COUNTER.pack(b"i", rank))
+        scored = sorted(zip(_stream(prefix, last_size), last))
+        # traces come in canonical order, so sorting each trace's chosen
+        # last-part vertices leaves the whole edge list canonical
+        chosen = sorted([v for _, v in scored[:count]])
+        edges.extend([tup + (v,) for v in chosen])
 
-        metadata = {
-            "generator": {
-                "mode": "planted",
-                "seed": seed,
-                "k": params.k,
-                "part_sizes": list(params.part_sizes),
-                "trace_density": density,
-                "attachments_per_trace": attachments,
-                "attempt": attempt,
-            }
+    metadata = {
+        "generator": {
+            "mode": "planted",
+            "seed": seed,
+            "k": params.k,
+            "part_sizes": list(params.part_sizes),
+            "trace_density": density,
+            "attachments_per_trace": attachments,
+            # fixed, like the 0 in the stream paths: changing either changes
+            # every planted instance
+            "attempt": 0,
         }
-        h = _from_canonical(
-            ranges, labels, tuple(edges), strict=False, metadata=metadata
+    }
+    h = _from_canonical(ranges, labels, tuple(edges), strict=False, metadata=metadata)
+    if len(enumerate_perfect_matchings(h, limit=2)) != 1:
+        raise RetryExhaustedError(
+            "the staircase construction gave a prefix without a unique "
+            "perfect matching"
         )
-        found = enumerate_perfect_matchings(h, limit=2)
-        if len(found) == 1:
-            return h
-
-    raise RetryExhaustedError(
-        f"no unique-prefix instance after {_PLANTED_RETRIES} attempts; "
-        "the staircase construction should never fail"
-    )
+    return h

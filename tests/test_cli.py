@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import kphall
-from kphall import fixture, serialize_instance
+from kphall import campaign, fixture, serialize_instance
 from kphall.cli import main
 
 
@@ -115,6 +116,17 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", gap_file)
         assert code == 0
         assert "no matching of size 2" in out
+
+    def test_text_undetermined_uniqueness(self, capsys, gap_file):
+        # at --limit 1 the enumeration stops at the first prefix matching,
+        # so the payload's "unique" is null, not false
+        code, out, _ = run(capsys, "analyze", gap_file, "--limit", "1")
+        assert code == 0
+        assert out.splitlines()[1] == (
+            "prefix perfect matchings: >=1 (uniqueness undetermined), t=2"
+        )
+        _, payload, _ = run(capsys, "analyze", gap_file, "--limit", "1", "--json")
+        assert json.loads(payload)["prefix_criterion"]["unique"] is None
 
     def test_byte_identical_json(self, capsys, gap_file):
         _, first, _ = run(capsys, "analyze", gap_file, "--json")
@@ -386,6 +398,67 @@ class TestVerify:
     def test_unknown_property_exit_2(self, capsys):
         code, _, err = run(capsys, "verify", "--properties", "nope")
         assert code == 2
+
+    @staticmethod
+    def _masked(out):
+        # the one line that depends on the clock
+        lines = out.splitlines()
+        assert re.fullmatch(r"elapsed: \d+\.\d\ds", lines[-2])
+        lines[-2] = "elapsed: <masked>"
+        return "\n".join(lines) + "\n"
+
+    def test_text_skipped_properties(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--trials", "3", "--seed", "5", "--modes", "random"
+        )
+        assert code == 0
+        assert self._masked(out) == (
+            "campaign: 3 trials per property, seed 5, k in [2, 3, 4], "
+            "t in [1, 2, 3, 4]\n"
+            "  unique-hall: skipped (mode unique-planted not selected)\n"
+            "  defect-extension: skipped (mode unique-planted not selected)\n"
+            "  defect-equivalence: skipped (mode unique-planted not selected)\n"
+            "  konig: 3/3 passed, 0 failed\n"
+            "  k2-reduction: 3/3 passed, 0 failed\n"
+            "elapsed: <masked>\n"
+            "result: all properties hold\n"
+        )
+
+    def test_text_first_failure_and_replay(self, capsys, monkeypatch):
+        calls = []
+
+        def check(h):
+            calls.append(h)
+            return None if len(calls) == 1 else f"boom at call {len(calls)}"
+
+        monkeypatch.setitem(campaign._PROPERTIES, "konig", ("random", check))
+        code, out, _ = run(
+            capsys,
+            "verify", "--trials", "3", "--seed", "5", "--k", "2", "--t", "1",
+            "--properties", "unique-hall,konig",
+        )
+        assert code == 1
+        replay = serialize_instance(calls[1])
+        assert self._masked(out) == (
+            "campaign: 3 trials per property, seed 5, k in [2], t in [1]\n"
+            "  unique-hall: 3/3 passed, 0 failed\n"
+            "  konig: 1/3 passed, 2 failed\n"
+            "    first failure (trial 1): boom at call 2\n"
+            "    replay instance:\n"
+            + "".join(f"      {line}\n" for line in replay.splitlines())
+            + "elapsed: <masked>\n"
+            "result: FAILURES\n"
+        )
+        assert replay == (
+            '{\n  "format_version": "1",\n  "k": 2,\n'
+            '  "parts": [\n    [\n      "a1"\n    ],\n    [\n      "b1"\n    ]\n  ],\n'
+            '  "edges": [\n    [\n      "a1",\n      "b1"\n    ]\n  ],\n'
+            '  "metadata": {\n    "generator": {\n'
+            '      "edge_probability": 0.484425853720005,\n      "k": 2,\n'
+            '      "mode": "random",\n'
+            '      "part_sizes": [\n        1,\n        1\n      ],\n'
+            '      "seed": 15003212363240103657\n    }\n  }\n}\n'
+        )
 
     def test_t_range_syntax(self, capsys):
         code, out, _ = run(

@@ -123,6 +123,24 @@ class TestPlantedUnique:
         with pytest.raises(RetryExhaustedError):
             gen_planted_unique(params, 0)
 
+    def test_failed_self_check_raises_after_one_draw(self, monkeypatch):
+        import kphall.generate as generate_module
+        from kphall.errors import RetryExhaustedError
+
+        calls = []
+
+        def two_matchings(h, limit):
+            calls.append(limit)
+            return [(), ()]
+
+        monkeypatch.setattr(
+            generate_module, "enumerate_perfect_matchings", two_matchings
+        )
+        params = GeneratorParams(k=3, part_sizes=(2, 2, 2), trace_density=0.5)
+        with pytest.raises(RetryExhaustedError):
+            gen_planted_unique(params, 0)
+        assert calls == [2]
+
 
 class TestStaircasePrinciple:
     """Upper-triangular bipartite adjacency with a full diagonal has a

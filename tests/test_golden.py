@@ -65,7 +65,7 @@ def _cases() -> dict[str, list[str]]:
     cases = {name: ["generate", *args] for name, args in GENERATED.items()}
     for name, flags in FIXTURES.items():
         path = _fixture_path(name)
-        for command in ("analyze", "extend"):
+        for command in ("analyze", "extend", "validate"):
             cases[f"{name}-{command}-json"] = [command, path, *flags, "--json"]
             cases[f"{name}-{command}-text"] = [command, path, *flags]
     cases["nonunique_prefix-analyze-limit3"] = [
@@ -74,10 +74,17 @@ def _cases() -> dict[str, list[str]]:
     cases["duality_gap-analyze-rotate1"] = [
         "analyze", _fixture_path("duality_gap"), "--json", "--rotate-parts", "1",
     ]
+    cases["duality_gap-analyze-rotate1-text"] = [
+        "analyze", _fixture_path("duality_gap"), "--rotate-parts", "1",
+    ]
     for name in GENERATED:
         path = str(GOLDEN / f"{name}.out")
         cases[f"{name}-analyze-json"] = ["analyze", path, "--lenient", "--json"]
         cases[f"{name}-extend-json"] = ["extend", path, "--lenient", "--json"]
+    # the one generated instance whose prefix criterion is not applicable
+    cases["gen-random-2322-s9-analyze-text"] = [
+        "analyze", str(GOLDEN / "gen-random-2322-s9.out"), "--lenient",
+    ]
     cases["verify-t20-s42"] = ["verify", "--json", "--trials", "20", "--seed", "42"]
     return cases
 
