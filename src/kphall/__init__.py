@@ -7,42 +7,56 @@ extend into the full hypergraph via a system of distinct representatives.
 Exact exponential solvers for the maximum matching and minimum vertex
 cover serve as desk-scale oracles, and seeded generators plus a property
 campaign keep every claim machine-checkable.
-"""
 
-from .analysis import analysis_jsonable, analyze_instance
-from .campaign import CampaignConfig, run_campaign
-from .errors import KphallError
-from .exact import alpha_prime, duality_report
-from .generate import GeneratorParams, gen_planted_unique, gen_random
-from .hypergraph import KPartiteHypergraph, Matching, build_hypergraph, neighborhood
-from .instance_io import fixture, parse_instance, serialize_instance
-from .matching import (
-    analyze_matching,
-    enumerate_perfect_matchings,
-    prefix_hall_verdict,
-)
+Importing the package loads none of its modules.  Each name in ``__all__``
+is imported from its defining module on first use (PEP 562), so
+``from kphall import parse_instance`` loads ``instance_io`` and
+``hypergraph`` only, and ``from kphall import analysis`` still yields the
+submodule.  The ``kphall`` commands load likewise: ``validate`` the parser
+alone, ``extend`` no exact solver, and only ``generate`` and ``verify``
+the generator (the ``kphall.cli`` docstring lists each command's modules).
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CampaignConfig",
-    "GeneratorParams",
-    "KPartiteHypergraph",
-    "KphallError",
-    "Matching",
-    "alpha_prime",
-    "analysis_jsonable",
-    "analyze_instance",
-    "analyze_matching",
-    "build_hypergraph",
-    "duality_report",
-    "enumerate_perfect_matchings",
-    "fixture",
-    "gen_planted_unique",
-    "gen_random",
-    "neighborhood",
-    "parse_instance",
-    "prefix_hall_verdict",
-    "run_campaign",
-    "serialize_instance",
-]
+# public name -> the submodule that defines it
+_EXPORTS = {
+    "CampaignConfig": "campaign",
+    "GeneratorParams": "generate",
+    "KPartiteHypergraph": "hypergraph",
+    "KphallError": "errors",
+    "Matching": "hypergraph",
+    "alpha_prime": "exact",
+    "analysis_jsonable": "analysis",
+    "analyze_instance": "analysis",
+    "analyze_matching": "matching",
+    "build_hypergraph": "hypergraph",
+    "duality_report": "exact",
+    "enumerate_perfect_matchings": "matching",
+    "fixture": "instance_io",
+    "gen_planted_unique": "generate",
+    "gen_random": "generate",
+    "neighborhood": "hypergraph",
+    "parse_instance": "instance_io",
+    "prefix_hall_verdict": "matching",
+    "run_campaign": "campaign",
+    "serialize_instance": "instance_io",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    from importlib import import_module
+
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

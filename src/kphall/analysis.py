@@ -8,11 +8,14 @@ order is fixed, so identical inputs render byte-identical reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
-from .exact import DualityReport, duality_report
 from .hypergraph import KPartiteHypergraph, Matching, neighborhood_of_set
+from .instance_io import REPORT_VERSION
 from .matching import HallVerdict, MatchingAnalysis, prefix_hall_verdict
+
+if TYPE_CHECKING:
+    from .exact import DualityReport
 
 __all__ = [
     "REPORT_VERSION",
@@ -23,9 +26,6 @@ __all__ = [
     "edge_labels",
     "matching_labels",
 ]
-
-REPORT_VERSION = "1"
-
 
 @dataclass(frozen=True)
 class AnalysisReport:
@@ -41,6 +41,8 @@ def analyze_instance(
     # A bad limit and the solvers' size guard must raise before any search.
     if limit < 1:
         raise ValueError("limit must be >= 1")
+    from .exact import duality_report  # here, so that `extend` never loads it
+
     duality = duality_report(h, force=force)
     return AnalysisReport(
         hypergraph=h,

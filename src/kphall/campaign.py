@@ -29,7 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from .analysis import REPORT_VERSION, edge_labels
+from .analysis import edge_labels
 from .errors import KphallError
 from .exact import alpha_prime, duality_report
 from .generate import (
@@ -41,7 +41,7 @@ from .generate import (
     unit_float,
 )
 from .hypergraph import KPartiteHypergraph, neighborhood_of_set
-from .instance_io import serialize_instance
+from .instance_io import REPORT_VERSION, serialize_instance
 from .matching import (
     MATCHING_EXISTS,
     NO_MATCHING,

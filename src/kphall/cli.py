@@ -16,6 +16,15 @@ gone.
 parser is built on the first call and reused, since parsing never changes
 it; ``validate``, ``analyze`` and ``extend`` never load OpenSSL, which only
 ``generate`` and ``verify`` need to draw instances.
+
+Importing this module loads only ``errors``; each handler imports the
+layers it runs, on its first call:
+
+* ``validate``: ``instance_io`` and ``hypergraph``;
+* ``extend``: those, ``analysis`` and ``matching``;
+* ``analyze``: those and ``exact``;
+* ``generate``: ``generate``, ``instance_io``, ``hypergraph`` and ``matching``;
+* ``verify``: ``campaign``, which loads every layer.
 """
 
 from __future__ import annotations
@@ -24,32 +33,32 @@ import argparse
 import functools
 import os
 import sys
-from pathlib import Path
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
-from .analysis import (
-    REPORT_VERSION,
-    analysis_jsonable,
-    analyze_instance,
-    matching_labels,
-)
-from .campaign import (
-    MODES,
-    PROPERTY_NAMES,
-    CampaignConfig,
-    campaign_jsonable,
-    run_campaign,
-)
 from .errors import KphallError, TooLargeError
-from .generate import GeneratorParams, gen_planted_unique, gen_random
-from .hypergraph import KPartiteHypergraph, rotate_parts
-from .instance_io import _json_text, parse_instance, serialize_instance
-from .matching import prefix_hall_verdict
+
+if TYPE_CHECKING:
+    from .hypergraph import KPartiteHypergraph
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NOT_APPLICABLE = 3
 EXIT_WRITE = 4
+
+# The library's defaults for `verify` and `generate planted`, spelled out so
+# that building the parser imports neither `campaign` nor `generate`;
+# tests/test_cli.py checks that they still equal CampaignConfig() and
+# GeneratorParams.
+_MODES = ("unique-planted", "random")
+_PROPERTY_NAMES = (
+    "unique-hall",
+    "defect-extension",
+    "defect-equivalence",
+    "konig",
+    "k2-reduction",
+)
+_TRACE_DENSITY = 0.4
+_ATTACHMENTS_PER_TRACE = 2
 
 
 def _add_instance_args(sub: argparse.ArgumentParser) -> None:
@@ -81,11 +90,31 @@ class _UnreadableInputError(Exception):
     """The instance file could not be read; the message says why."""
 
 
+def _open(path: str, mode: str):
+    """``pathlib.Path(path).open(mode)``, without importing pathlib first.
+
+    pathlib drops "." components and repeated and trailing slashes, so it
+    opens "x/" as the file x and names "./x" as "x" in its errors.  A plain
+    open agrees with it wherever it succeeds; where it fails, pathlib opens
+    the path again, so behaviour and messages stay pathlib's.
+    """
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError:
+        from pathlib import Path
+
+        return Path(path).open(mode, encoding="utf-8")
+
+
 def _load(args: argparse.Namespace) -> KPartiteHypergraph:
+    from .hypergraph import rotate_parts
+    from .instance_io import parse_instance
+
     # Only the read is guarded: an OSError from writing the report (a
     # closed stdout pipe, say) is not a read error.
     try:
-        text = Path(args.input).read_text("utf-8")
+        with _open(args.input, "r") as f:
+            text = f.read()
     except OSError as exc:
         reason = "not found" if isinstance(exc, FileNotFoundError) else exc.strerror
         raise _UnreadableInputError(f"cannot read {exc.filename}: {reason}") from None
@@ -155,13 +184,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--density",
         type=float,
-        default=GeneratorParams.trace_density,
+        default=_TRACE_DENSITY,
         help="planted mode: trace density",
     )
     p.add_argument(
         "--attach",
         type=int,
-        default=GeneratorParams.attachments_per_trace,
+        default=_ATTACHMENTS_PER_TRACE,
         help="planted mode: max attachments per trace",
     )
 
@@ -171,12 +200,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_int_list, default=(2, 3, 4), metavar="LIST")
     p.add_argument("--t", type=_int_list, default=(1, 2, 3, 4), metavar="LIST")
     p.add_argument(
-        "--modes", default=",".join(MODES), help=f"subset of {{{','.join(MODES)}}}"
+        "--modes", default=",".join(_MODES), help=f"subset of {{{','.join(_MODES)}}}"
     )
     p.add_argument(
         "--properties",
-        default=",".join(PROPERTY_NAMES),
-        help=f"subset of {{{','.join(PROPERTY_NAMES)}}}",
+        default=",".join(_PROPERTY_NAMES),
+        help=f"subset of {{{','.join(_PROPERTY_NAMES)}}}",
     )
     p.add_argument("--json", action="store_true")
 
@@ -185,6 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _print_report(args: argparse.Namespace, payload: dict, text: Callable) -> None:
     """Write ``payload`` under ``--json``, else the lines ``text`` formats from it."""
+    from .instance_io import _json_text
+
     print(_json_text(payload) if args.json else "\n".join(text(payload)))
 
 
@@ -271,6 +302,8 @@ def _format_campaign(payload: dict, elapsed: float) -> Iterator[str]:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .instance_io import REPORT_VERSION
+
     h = _load(args)
     payload = {
         "report_version": REPORT_VERSION,
@@ -285,12 +318,18 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
+    from .analysis import analysis_jsonable, analyze_instance
+
     report = analyze_instance(_load(args), force=args.force, limit=args.limit)
     _print_report(args, analysis_jsonable(report), _format_analysis)
     return EXIT_OK
 
 
 def _cmd_extend(args: argparse.Namespace) -> int:
+    from .analysis import matching_labels
+    from .instance_io import REPORT_VERSION
+    from .matching import prefix_hall_verdict
+
     h = _load(args)
     verdict = prefix_hall_verdict(h, limit=1)
     if not verdict.applicable:
@@ -309,6 +348,9 @@ def _cmd_extend(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    from .generate import GeneratorParams, gen_planted_unique, gen_random
+    from .instance_io import serialize_instance
+
     if args.mode == "random":
         if not args.sizes:
             print("random mode needs --sizes", file=sys.stderr)
@@ -335,7 +377,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         print(f"warning: {w}", file=sys.stderr)
     if args.out:
         try:
-            Path(args.out).write_text(text, "utf-8")
+            with _open(args.out, "w") as f:
+                f.write(text)
         except OSError as exc:
             print(f"cannot write {args.out}: {exc}", file=sys.stderr)
             return EXIT_WRITE
@@ -345,6 +388,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .campaign import CampaignConfig, campaign_jsonable, run_campaign
+
     config = CampaignConfig(
         trials=args.trials,
         seed=args.seed,

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-from importlib import resources
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
@@ -31,6 +30,7 @@ from .hypergraph import KPartiteHypergraph, build_hypergraph
 
 __all__ = [
     "FORMAT_VERSION",
+    "REPORT_VERSION",
     "FIXTURE_NAMES",
     "parse_instance",
     "serialize_instance",
@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 FORMAT_VERSION = "1"
+# the schema version of every CLI report; it sits here, beside the file
+# format, so that ``validate`` states it without loading the analysis layers
+REPORT_VERSION = "1"
 
 _TOP_LEVEL_KEYS = ("format_version", "k", "parts", "edges", "metadata")
 
@@ -211,5 +214,7 @@ def fixture(name: str) -> KPartiteHypergraph:
         raise UnknownFixtureError(
             f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}"
         ) from None
+    from importlib import resources  # costly to import, and only needed here
+
     text = resources.files(__package__).joinpath("data", filename).read_text("utf-8")
     return parse_instance(text, strict=strict)

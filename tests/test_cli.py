@@ -11,8 +11,8 @@ from pathlib import Path
 import pytest
 
 import kphall
-from kphall import campaign, fixture, serialize_instance
-from kphall.cli import main
+from kphall import GeneratorParams, campaign, fixture, serialize_instance
+from kphall.cli import build_parser, main
 
 
 @pytest.fixture
@@ -51,6 +51,16 @@ class TestValidate:
         assert code == 2
         assert out == ""
         assert err.startswith(f"cannot read {tmp_path}: ")
+
+    def test_path_read_as_pathlib_reads_it(self, capsys, gap_file, monkeypatch):
+        # "x/" reads the file x, and an error names "./x" as "x"
+        monkeypatch.chdir(Path(gap_file).parent)
+        code, out, _ = run(capsys, "validate", "gap.json/")
+        assert code == 0
+        assert out.startswith("valid: ")
+        code, out, err = run(capsys, "validate", ".//missing.json")
+        assert code == 2
+        assert err == "cannot read missing.json: not found\n"
 
     def test_deeply_nested_document(self, capsys, tmp_path):
         path = tmp_path / "deep.json"
@@ -339,6 +349,18 @@ class TestGenerate:
         )
         assert code == 4
 
+    def test_out_path_written_as_pathlib_writes_it(self, capsys, monkeypatch, tmp_path):
+        # "x/" writes the file x, and an error names "./x" as "x"
+        monkeypatch.chdir(tmp_path)
+        argv = ["generate", "random", "--sizes", "1,1", "--p", "1.0"]
+        code, _, _ = run(capsys, *argv, "--out", "./x.json/")
+        assert code == 0
+        assert json.loads((tmp_path / "x.json").read_text("utf-8"))["k"] == 2
+        code, _, err = run(capsys, *argv, "--out", "./nodir//x.json")
+        assert code == 4
+        assert err.startswith("cannot write ./nodir//x.json: ")
+        assert err.endswith(": 'nodir/x.json'\n")
+
     def test_stdout_when_no_out(self, capsys):
         code, out, _ = run(
             capsys, "generate", "random", "--sizes", "1,1", "--p", "1.0"
@@ -468,6 +490,32 @@ class TestVerify:
         )
         assert code == 0
         assert json.loads(out)["config"]["t_values"] == [1, 2, 4]
+
+
+class TestParserDefaults:
+    """The parser spells out the library's defaults without importing it."""
+
+    def test_verify_defaults_are_the_campaign_defaults(self):
+        args = build_parser().parse_args(["verify"])
+        cfg = campaign.CampaignConfig()
+        assert (args.trials, args.seed) == (cfg.trials, cfg.seed)
+        assert (args.k, args.t) == (cfg.k_values, cfg.t_values)
+        assert tuple(args.modes.split(",")) == cfg.modes
+        assert tuple(args.properties.split(",")) == cfg.properties
+
+    def test_planted_defaults_are_the_generator_defaults(self):
+        args = build_parser().parse_args(["generate", "planted"])
+        assert args.density == GeneratorParams.trace_density
+        assert args.attach == GeneratorParams.attachments_per_trace
+
+    @pytest.mark.parametrize(
+        "command", ["", "validate", "analyze", "extend", "generate", "verify"]
+    )
+    def test_help_exits_0(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"] if command else ["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: kphall")
 
 
 class TestFuzz:

@@ -248,12 +248,13 @@ class TestSizeGuard:
 
     @pytest.mark.parametrize("limit", [0, -1])
     def test_bad_limit_raises_before_the_solvers(self, gap, monkeypatch, limit):
-        import kphall.analysis
+        import kphall.exact
 
         def solvers_must_not_run(*args, **kwargs):
             raise AssertionError("exact solvers ran before the limit check")
 
-        monkeypatch.setattr(kphall.analysis, "duality_report", solvers_must_not_run)
+        # analyze_instance imports duality_report from exact at each call
+        monkeypatch.setattr(kphall.exact, "duality_report", solvers_must_not_run)
         with pytest.raises(ValueError, match="limit must be >= 1"):
             analyze_instance(gap, force=True, limit=limit)
 

@@ -2,6 +2,7 @@
 
 import importlib
 import pkgutil
+import sys
 
 import pytest
 
@@ -46,3 +47,38 @@ def test_package_exports_are_pinned():
         "run_campaign",
         "serialize_instance",
     ]
+
+
+# The package resolves its exports lazily (PEP 562); these pin that the lazy
+# names are the very objects their submodules define.
+
+
+@pytest.mark.parametrize("name", kphall.__all__)
+def test_package_export_is_the_submodule_object(name):
+    module = importlib.import_module(f"kphall.{kphall._EXPORTS[name]}")
+    assert getattr(kphall, name) is getattr(module, name)
+
+
+def test_dir_lists_every_export():
+    assert set(kphall.__all__) <= set(dir(kphall))
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from kphall import *", namespace)
+    assert {n: namespace[n] for n in kphall.__all__} == {
+        n: getattr(kphall, n) for n in kphall.__all__
+    }
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        kphall.no_such_name
+    assert not hasattr(kphall, "no_such_name")
+
+
+def test_submodule_import_through_the_package():
+    from kphall import analysis
+
+    assert analysis is sys.modules["kphall.analysis"]
+    assert analysis.REPORT_VERSION == "1"

@@ -107,34 +107,41 @@ def test_golden_output(name):
 
 
 # Cases run back to back in one interpreter: every analysis command before
-# the first draw, and a case with a non-default flag before the same case
-# without it, so a value left over from an earlier call would show.
+# the first draw, extend before analyze loads the exact solvers, and a case
+# with a non-default flag before the same case without it, so a value left
+# over from an earlier call would show.
 ONE_PROCESS = [
+    "k2_hall_fail-extend-text",
+    "gen-random-333-s5-extend-json",
     "nonunique_prefix-analyze-limit3",
     "nonunique_prefix-analyze-json",
     "duality_gap-analyze-rotate1",
     "duality_gap-analyze-json",
-    "k2_hall_fail-extend-text",
-    "gen-random-333-s5-extend-json",
     "gen-planted-k3-t3-s7",
     "gen-planted-k3-t3-s7-analyze-json",
 ]
 
 _ONE_PROCESS_SCRIPT = """\
 import contextlib, io, json, sys
+def loaded():
+    return sorted(n for n in sys.modules if n.startswith("kphall."))
+import kphall
+imports = [loaded()]
 from kphall.cli import main
+imports.append(loaded())
 results = []
 for argv in json.load(sys.stdin):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    results.append([code, out.getvalue(), "_hashlib" in sys.modules])
-print(json.dumps(results))
+    results.append([code, out.getvalue(), "_hashlib" in sys.modules, loaded()])
+print(json.dumps([imports, results]))
 """
 
 
 def test_one_process_reuses_parser_and_loads_openssl_only_to_draw():
-    # A fresh interpreter, so that no earlier test has imported hashlib.
+    # A fresh interpreter, so that no earlier test has imported hashlib or
+    # any kphall module.
     validate = ["validate", _fixture_path("duality_gap")]
     argvs = [validate] + [CASES[name] for name in ONE_PROCESS]
     env = dict(os.environ, PYTHONPATH=str(Path(kphall.__file__).parents[1]))
@@ -148,16 +155,27 @@ def test_one_process_reuses_parser_and_loads_openssl_only_to_draw():
         check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    validated, *results = json.loads(proc.stdout)
+    imports, (validated, *results) = json.loads(proc.stdout)
     assert validated[0] == 0
     codes = json.loads(EXIT_CODES.read_text("utf-8"))
-    for name, (code, out, _) in zip(ONE_PROCESS, results):
+    for name, (code, out, _, _) in zip(ONE_PROCESS, results):
         assert code == codes[name], name
         assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes(), name
     # OpenSSL is loaded by the first generate call, and not before
     first_draw = 1 + ONE_PROCESS.index("gen-planted-k3-t3-s7")
     loaded = [validated[2]] + [r[2] for r in results]
     assert loaded == [i >= first_draw for i in range(len(argvs))]
+    # Each command loads the layers it runs and no others: the package
+    # loads no submodule, the CLI only the error classes, validate only the
+    # parser, extend no exact solver, and no analysis command the campaign
+    # or the generator.
+    cli = ["kphall.cli", "kphall.errors"]
+    assert imports == [[], cli]
+    assert validated[3] == sorted(cli + ["kphall.hypergraph", "kphall.instance_io"])
+    for name, result in zip(ONE_PROCESS[: first_draw - 1], results):
+        assert {"kphall.campaign", "kphall.generate"}.isdisjoint(result[3]), name
+        if "-extend-" in name:
+            assert "kphall.exact" not in result[3], name
 
 
 def _write_goldens() -> None:
