@@ -5,7 +5,14 @@ command builds one payload: ``--json`` writes it as a stable schema, byte
 for byte as ``json.dumps(payload, indent=2)`` writes it, and the default
 text formats it line by line, so the facts a report states and the labels
 it shows come from `analysis` and `campaign` alone.  ``verify``'s
-``elapsed:`` line is the one text field not in the payload.
+``elapsed:`` line is the one text field not in the payload: the handler
+times the campaign, whose report holds no clock.
+
+An option of ``verify``, or ``--density`` and ``--attach`` of ``generate
+planted``, that is left out is absent from the parsed arguments, so the
+handler passes on only what was given and the defaults are those of
+``CampaignConfig`` and ``GeneratorParams``.  Instance and ``--out`` paths
+are read and written through ``pathlib``.
 
 Exit codes: 0 success, 1 a property failed (``verify`` only), 2 input or
 configuration error, 3 criterion not applicable (extend without a prefix
@@ -33,6 +40,7 @@ import argparse
 import functools
 import os
 import sys
+import time
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from .errors import KphallError, TooLargeError
@@ -44,22 +52,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NOT_APPLICABLE = 3
 EXIT_WRITE = 4
-
-# The library's defaults for `verify` and `generate planted`, spelled out so
-# that building the parser imports neither `campaign` nor `generate`;
-# tests/test_cli.py checks that they still equal CampaignConfig() and
-# GeneratorParams.
-_MODES = ("unique-planted", "random")
-_PROPERTY_NAMES = (
-    "unique-hall",
-    "defect-extension",
-    "defect-equivalence",
-    "konig",
-    "k2-reduction",
-)
-_TRACE_DENSITY = 0.4
-_ATTACHMENTS_PER_TRACE = 2
-
 
 def _add_instance_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("input", help="instance file path")
@@ -90,31 +82,16 @@ class _UnreadableInputError(Exception):
     """The instance file could not be read; the message says why."""
 
 
-def _open(path: str, mode: str):
-    """``pathlib.Path(path).open(mode)``, without importing pathlib first.
-
-    pathlib drops "." components and repeated and trailing slashes, so it
-    opens "x/" as the file x and names "./x" as "x" in its errors.  A plain
-    open agrees with it wherever it succeeds; where it fails, pathlib opens
-    the path again, so behaviour and messages stay pathlib's.
-    """
-    try:
-        return open(path, mode, encoding="utf-8")
-    except OSError:
-        from pathlib import Path
-
-        return Path(path).open(mode, encoding="utf-8")
-
-
 def _load(args: argparse.Namespace) -> KPartiteHypergraph:
+    from pathlib import Path
+
     from .hypergraph import rotate_parts
     from .instance_io import parse_instance
 
     # Only the read is guarded: an OSError from writing the report (a
     # closed stdout pipe, say) is not a read error.
     try:
-        with _open(args.input, "r") as f:
-            text = f.read()
+        text = Path(args.input).read_text("utf-8")
     except OSError as exc:
         reason = "not found" if isinstance(exc, FileNotFoundError) else exc.strerror
         raise _UnreadableInputError(f"cannot read {exc.filename}: {reason}") from None
@@ -135,6 +112,11 @@ def _int_list(text: str) -> tuple[int, ...]:
     if not values:
         raise ValueError(f"empty list: {text!r}")
     return tuple(values)
+
+
+def _name_list(text: str) -> tuple[str, ...]:
+    """Parse 'a, b' into ('a', 'b'), dropping empty names."""
+    return tuple(name for name in map(str.strip, text.split(",")) if name)
 
 
 @functools.cache
@@ -183,31 +165,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--density",
+        dest="trace_density",
         type=float,
-        default=_TRACE_DENSITY,
+        default=argparse.SUPPRESS,
+        metavar="DENSITY",
         help="planted mode: trace density",
     )
     p.add_argument(
         "--attach",
+        dest="attachments_per_trace",
         type=int,
-        default=_ATTACHMENTS_PER_TRACE,
+        default=argparse.SUPPRESS,
+        metavar="ATTACH",
         help="planted mode: max attachments per trace",
     )
 
-    p = commands.add_parser("verify", help="run the property-verification campaign")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=_int_list, default=(2, 3, 4), metavar="LIST")
-    p.add_argument("--t", type=_int_list, default=(1, 2, 3, 4), metavar="LIST")
-    p.add_argument(
-        "--modes", default=",".join(_MODES), help=f"subset of {{{','.join(_MODES)}}}"
+    p = commands.add_parser(
+        "verify",
+        help="run the property-verification campaign",
+        argument_default=argparse.SUPPRESS,
     )
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--k", dest="k_values", type=_int_list, metavar="LIST")
+    p.add_argument("--t", dest="t_values", type=_int_list, metavar="LIST")
+    p.add_argument("--modes", type=_name_list, help="comma-separated; default all")
     p.add_argument(
-        "--properties",
-        default=",".join(_PROPERTY_NAMES),
-        help=f"subset of {{{','.join(_PROPERTY_NAMES)}}}",
+        "--properties", type=_name_list, help="comma-separated; default all"
     )
-    p.add_argument("--json", action="store_true")
+    p.add_argument("--json", action="store_true", default=False)
 
     return parser
 
@@ -365,20 +351,23 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             print("planted mode needs --k and --t", file=sys.stderr)
             return EXIT_INPUT
         last = args.t if args.last_size is None else args.last_size
+        given = {
+            name: value
+            for name, value in vars(args).items()
+            if name in ("trace_density", "attachments_per_trace")
+        }
         params = GeneratorParams(
-            k=args.k,
-            part_sizes=(args.t,) * (args.k - 1) + (last,),
-            trace_density=args.density,
-            attachments_per_trace=args.attach,
+            k=args.k, part_sizes=(args.t,) * (args.k - 1) + (last,), **given
         )
         h = gen_planted_unique(params, args.seed)
     text = serialize_instance(h)
     for w in h.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if args.out:
+        from pathlib import Path
+
         try:
-            with _open(args.out, "w") as f:
-                f.write(text)
+            Path(args.out).write_text(text, "utf-8")
         except OSError as exc:
             print(f"cannot write {args.out}: {exc}", file=sys.stderr)
             return EXIT_WRITE
@@ -390,18 +379,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     from .campaign import CampaignConfig, campaign_jsonable, run_campaign
 
-    config = CampaignConfig(
-        trials=args.trials,
-        seed=args.seed,
-        k_values=args.k,
-        t_values=args.t,
-        modes=tuple(m.strip() for m in args.modes.split(",") if m.strip()),
-        properties=tuple(
-            p.strip() for p in args.properties.split(",") if p.strip()
-        ),
-    )
-    report = run_campaign(config)
-    text = functools.partial(_format_campaign, elapsed=report.elapsed_seconds)
+    given = dict(vars(args))
+    del given["command"], given["json"]
+    start = time.perf_counter()
+    report = run_campaign(CampaignConfig(**given))
+    elapsed = time.perf_counter() - start
+    text = functools.partial(_format_campaign, elapsed=elapsed)
     _print_report(args, campaign_jsonable(report), text)
     return EXIT_OK if report.ok else 1
 

@@ -12,14 +12,14 @@ in part order, and the canonical edge list is sorted lexicographically by
 those tuples.  All downstream tie-breaking (enumeration order, witnesses,
 report bytes) inherits from this canonical order, so equal inputs always
 produce identical outputs.  The build makes one pass over the edges: it
-resolves and sorts each edge's ids and keys the edge by its local indices
-read as one mixed-radix integer, which dedupes and orders the edge list.
-Only an edge that is not one vertex per part takes a slower path, which
-names the fault.  What follows canonicalization (coverage, the isolated
-vertex warnings or error, the degenerate warning and the instance itself)
-is one private tail, `_from_canonical`.  The seeded generators call it
-directly: they number their vertices the same way and emit canonical id
-edges, so a generated instance is never resolved or re-sorted.
+resolves and sorts each edge's ids into a tuple, and a set of those tuples,
+sorted, is the deduplicated canonical edge list.  Only an edge that is not
+one vertex per part takes a slower path, which names the fault.  What
+follows canonicalization (coverage, the isolated vertex warnings or error,
+the degenerate warning and the instance itself) is one private tail,
+`_from_canonical`.  The seeded generators call it directly: they number
+their vertices the same way and emit canonical id edges, so a generated
+instance is never resolved or re-sorted.
 
 The analysis needs one subhypergraph, the one generated on the first k-1
 parts.  Its edges, the prefix traces, are the edges with their last-part
@@ -73,12 +73,15 @@ class KPartiteHypergraph:
     unequal.
     """
 
-    k: int
     parts: tuple[range, ...]
     labels: tuple[str, ...]
     edges: tuple[Edge, ...]
     warnings: tuple[str, ...] = field(default=(), compare=False)
     metadata: Mapping | None = field(default=None, compare=False)
+
+    @property
+    def k(self) -> int:
+        return len(self.parts)
 
     @property
     def part_sizes(self) -> tuple[int, ...]:
@@ -88,10 +91,6 @@ class KPartiteHypergraph:
     def t(self) -> int:
         """Size of the first part; the target matching size in all verdicts."""
         return len(self.parts[0])
-
-    @cached_property
-    def _part_of(self) -> tuple[int, ...]:
-        return tuple([i for i, p in enumerate(self.parts) for _ in p])
 
     @cached_property
     def _edge_set(self) -> frozenset[Edge]:
@@ -160,9 +159,8 @@ def build_hypergraph(
 
     Labels are sorted within each part and numbered part by part, edges are
     deduplicated and sorted.  An edge is valid when its ids, sorted, lie in
-    parts 0..k-1 in turn.  Its key reads its local indices as the digits of
-    one mixed-radix integer, the last part's index lowest, so sorting keys
-    sorts edges lexicographically by ids.  The canonical edges then go
+    parts 0..k-1 in turn; the sorted id tuple is the edge, and sorting those
+    tuples gives the canonical order.  The canonical edges then go
     through the construction tail the generators share: strict mode
     rejects isolated vertices; lenient mode records a warning per isolated
     vertex instead.
@@ -190,19 +188,9 @@ def build_hypergraph(
         ranges.append(range(start, len(labels)))
         part_of.extend([i] * len(ranges[-1]))
 
-    # id -> its local index times the product of the later parts' sizes
-    digit = [0] * len(labels)
-    radix = 1
-    for part in reversed(ranges):
-        for v in part:
-            digit[v] = (v - part.start) * radix
-        radix *= len(part)
-
-    id_of, part_at, digit_at = (
-        by_label.__getitem__, part_of.__getitem__, digit.__getitem__
-    )
+    id_of, part_at = by_label.__getitem__, part_of.__getitem__
     part_ids = list(range(k))
-    canonical: dict[int, list[int]] = {}
+    canonical: set[Edge] = set()
     for raw_edge in edges:
         if type(raw_edge) is not list and type(raw_edge) is not tuple:
             raw_edge = list(raw_edge)  # read a one-shot iterable once
@@ -217,11 +205,14 @@ def build_hypergraph(
                 _reject_edge(edge_labels, by_label, part_of, k)
         if list(map(part_at, ids)) != part_ids:
             _reject_edge([str(x) for x in raw_edge], by_label, part_of, k)
-        canonical[sum(map(digit_at, ids))] = ids
+        canonical.add(tuple(ids))
 
-    edge_list = tuple([tuple(canonical[key]) for key in sorted(canonical)])
     return _from_canonical(
-        tuple(ranges), tuple(labels), edge_list, strict=strict, metadata=metadata
+        tuple(ranges),
+        tuple(labels),
+        tuple(sorted(canonical)),
+        strict=strict,
+        metadata=metadata,
     )
 
 
@@ -254,7 +245,6 @@ def _from_canonical(
         warnings.append("degenerate: instance has no edges")
 
     return KPartiteHypergraph(
-        k=len(ranges),
         parts=ranges,
         labels=labels,
         edges=edges,
@@ -286,8 +276,7 @@ def neighborhood(h: KPartiteHypergraph, sub: Iterable[int]) -> tuple[int, ...]:
         raise WrongArityError(f"expected {h.k - 1} vertices, got {len(vs)}")
     if vs[0] < 0 or vs[-1] >= len(h.labels):
         raise ValueError(f"{list(vs)} holds an id that is not a vertex of h")
-    part_of = h._part_of
-    if len({part_of[v] for v in vs}) != len(vs):
+    if len({i for i, p in enumerate(h.parts) for v in vs if v in p}) != len(vs):
         raise SamePartError("two vertices share a part")
     return h._traces.get(vs, ())
 

@@ -63,6 +63,10 @@ class TestRun:
         b = campaign_jsonable(run_campaign(CampaignConfig(trials=10, seed=7)))
         assert a == b
 
+    def test_equal_configs_give_equal_reports(self):
+        cfg = CampaignConfig(trials=3, seed=11, k_values=(2, 3), t_values=(1, 2))
+        assert run_campaign(cfg) == run_campaign(cfg)
+
     def test_report_counts_sum(self):
         report = run_campaign(CampaignConfig(trials=15, seed=3))
         for o in report.outcomes:

@@ -421,6 +421,18 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--properties", "nope")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "option, known",
+        [("--modes", campaign.MODES), ("--properties", campaign.PROPERTY_NAMES)],
+    )
+    def test_unknown_name_lists_the_known_ones(self, capsys, option, known):
+        code, out, err = run(capsys, "verify", option, "bogus")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: unknown {option[2:]}: ['bogus']; known: {', '.join(known)}\n"
+        )
+
     @staticmethod
     def _masked(out):
         # the one line that depends on the clock
@@ -493,20 +505,30 @@ class TestVerify:
 
 
 class TestParserDefaults:
-    """The parser spells out the library's defaults without importing it."""
+    """An option left out takes the library's default, not a copy in the CLI."""
 
-    def test_verify_defaults_are_the_campaign_defaults(self):
-        args = build_parser().parse_args(["verify"])
-        cfg = campaign.CampaignConfig()
-        assert (args.trials, args.seed) == (cfg.trials, cfg.seed)
-        assert (args.k, args.t) == (cfg.k_values, cfg.t_values)
-        assert tuple(args.modes.split(",")) == cfg.modes
-        assert tuple(args.properties.split(",")) == cfg.properties
+    def test_verify_defaults_are_the_campaign_defaults(self, capsys, monkeypatch):
+        seen = []
+        real = campaign.run_campaign
 
-    def test_planted_defaults_are_the_generator_defaults(self):
-        args = build_parser().parse_args(["generate", "planted"])
-        assert args.density == GeneratorParams.trace_density
-        assert args.attach == GeneratorParams.attachments_per_trace
+        def run_campaign(cfg):
+            seen.append(cfg)
+            return real(campaign.CampaignConfig(trials=1))
+
+        monkeypatch.setattr(campaign, "run_campaign", run_campaign)
+        code, _, _ = run(capsys, "verify", "--json")
+        assert code == 0
+        assert seen == [campaign.CampaignConfig()]
+
+    def test_planted_defaults_are_the_generator_defaults(self, capsys):
+        code, out, _ = run(capsys, "generate", "planted", "--k", "3", "--t", "3")
+        assert code == 0
+        generator = json.loads(out)["metadata"]["generator"]
+        assert generator["trace_density"] == GeneratorParams.trace_density
+        assert (
+            generator["attachments_per_trace"]
+            == GeneratorParams.attachments_per_trace
+        )
 
     @pytest.mark.parametrize(
         "command", ["", "validate", "analyze", "extend", "generate", "verify"]
